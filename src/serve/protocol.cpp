@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "assertions/options.h"
 #include "serve/hub.h"
 #include "support/jsonl.h"
 #include "support/str.h"
@@ -40,8 +41,7 @@ StatusOr<CampaignSpec> decode_submit(const std::string& line) {
   }
   (void)jsonl::parse_string(line, "feeds", spec.feeds);
   (void)jsonl::parse_string(line, "assertions", spec.assertions);
-  if (spec.assertions != "ndebug" && spec.assertions != "unoptimized" &&
-      spec.assertions != "optimized") {
+  if (!assertions::Options::from_name(spec.assertions).has_value()) {
     return Status::invalid_argument("unknown assertions mode '" + spec.assertions + "'");
   }
   (void)jsonl::parse_u64(line, "seed", spec.seed);

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <map>
 #include <optional>
-#include <random>
 #include <set>
 #include <thread>
 
@@ -79,15 +78,11 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   SourceManager sm;
   DiagnosticEngine diags(&sm);
   pipeline::CompileOptions copts;
-  if (spec.assertions == "ndebug") {
-    copts.assert_opts = assertions::Options::ndebug();
-  } else if (spec.assertions == "unoptimized") {
-    copts.assert_opts = assertions::Options::unoptimized();
-  } else if (spec.assertions == "optimized") {
-    copts.assert_opts = assertions::Options::optimized();
-  } else {
+  std::optional<assertions::Options> aopts = assertions::Options::from_name(spec.assertions);
+  if (!aopts.has_value()) {
     return Status::invalid_argument("unknown assertions mode '" + spec.assertions + "'");
   }
+  copts.assert_opts = *aopts;
   StatusOr<pipeline::Compiled> compiled = pipeline::compile_file(sm, diags, spec.design_path, copts);
   if (!compiled.ok()) {
     return Status::error(compiled.status().code(), "cannot compile '" + spec.design_path +
@@ -108,24 +103,15 @@ StatusOr<SupervisedResult> run_sharded_campaign(const CampaignSpec& spec,
   } catch (const InternalError& e) {
     return Status::error(StatusCode::kSimError, e.what());
   }
-  std::uint64_t max_cycles = spec.max_cycles != 0
-                                 ? spec.max_cycles
-                                 : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
+  std::uint64_t max_cycles = sim::resolve_max_cycles(spec.max_cycles, golden.cycles);
 
-  // Same sampling as sim::run_campaign_st: the supervisor and every
-  // worker must agree on which sites the campaign contains.
+  // The same sampling function the workers' run_campaign_st calls: the
+  // supervisor and every worker agree on which sites the campaign
+  // contains.
   std::vector<sim::FaultSpec> sites = sim::enumerate_fault_sites(design, schedule);
-  std::vector<std::size_t> order(sites.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (spec.max_faults != 0 && spec.max_faults < sites.size()) {
-    std::mt19937_64 rng(spec.seed);
-    std::shuffle(order.begin(), order.end(), rng);
-    order.resize(spec.max_faults);
-    std::sort(order.begin(), order.end());
-  }
   std::vector<std::uint32_t> selected;
   std::map<std::uint32_t, const sim::FaultSpec*> spec_by_id;
-  for (std::size_t idx : order) {
+  for (std::size_t idx : sim::sample_sites(sites.size(), spec.seed, spec.max_faults)) {
     selected.push_back(sites[idx].id);
     spec_by_id[sites[idx].id] = &sites[idx];
   }

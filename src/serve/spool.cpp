@@ -1,6 +1,5 @@
 #include "serve/spool.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -9,9 +8,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "support/append_log.h"
 #include "support/io.h"
 #include "support/jsonl.h"
 
@@ -19,13 +17,9 @@ namespace hlsav::serve {
 
 namespace {
 
-Status errno_status(const std::string& what, const std::string& path) {
-  return Status::io_error(what + " '" + path + "': " + std::strerror(errno));
-}
-
 Status make_dir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::ok_status();
-  return errno_status("cannot create directory", dir);
+  return Status::io_error("cannot create directory '" + dir + "': " + std::strerror(errno));
 }
 
 /// Parses the spool header line into `e`. False on any malformed or
@@ -105,11 +99,10 @@ Status JobSpool::record_accepted(const SpoolEntry& entry) const {
   // unambiguous.
   line += ",\"submit\":";
   jsonl::append_escaped(line, entry.submit_line);
-  line += "}\n";
-  HLSAV_RETURN_IF_ERROR(write_file_atomic(entry_path(entry.job), line));
-  // The rename made the header durable; the directory entry needs its
-  // own fsync before the accept promise goes out.
-  return fsync_dir(dir_);
+  line += '}';
+  // create() returns only once the header and the directory entry are
+  // both durable: the accept promise may go out.
+  return AppendLog::create(entry_path(entry.job), line).status();
 }
 
 Status JobSpool::record_state(std::uint64_t job, const std::string& state,
@@ -120,32 +113,12 @@ Status JobSpool::record_state(std::uint64_t job, const std::string& state,
     line += ",\"detail\":";
     jsonl::append_escaped(line, detail);
   }
-  line += "}\n";
-  const std::string path = entry_path(job);
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot open spool entry", path);
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status st = errno_status("spool write failed", path);
-      ::close(fd);
-      return st;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
+  line += '}';
   // Durable before anyone acts on the transition: recovery trusts
   // every complete record.
-  if (::fsync(fd) != 0) {
-    Status st = errno_status("spool fsync failed", path);
-    ::close(fd);
-    return st;
-  }
-  ::close(fd);
-  return Status::ok_status();
+  StatusOr<AppendLog> log = AppendLog::reopen(entry_path(job));
+  if (!log.ok()) return log.status();
+  return log->append(line);
 }
 
 StatusOr<SpoolScan> JobSpool::scan() const {
@@ -161,50 +134,23 @@ StatusOr<SpoolScan> JobSpool::scan() const {
     // atomic write are leftovers, not jobs.
     if (name.size() < 7 || name.compare(name.size() - 6, 6, ".spool") != 0) continue;
 
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      quarantine_entry(dir_, path, "cannot read spool entry");
-      ++out.quarantined;
-      continue;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string data = buf.str();
-    is.close();
-
-    std::size_t eol = data.find('\n');
-    if (eol == std::string::npos) {
-      quarantine_entry(dir_, path, "no complete header line");
-      ++out.quarantined;
-      continue;
-    }
     SpoolEntry entry;
-    if (!parse_header(data.substr(0, eol), entry)) {
+    StatusOr<LogContents> log = read_log(
+        path, [&entry](const std::string& record) { return parse_state_record(record, entry); });
+    if (!log.ok()) {
+      quarantine_entry(dir_, path, log.status().message());
+      ++out.quarantined;
+      continue;
+    }
+    if (!parse_header(log->header, entry)) {
       quarantine_entry(dir_, path, "unparseable spool header");
       ++out.quarantined;
       continue;
     }
     entry.path = path;
-
-    // State records: stop at the first torn/corrupt one. Only the last
-    // record can be torn (single writer, fsync per record), so
-    // everything before the stop point is real.
-    std::size_t valid = eol + 1;
-    std::size_t pos = valid;
-    while (pos < data.size()) {
-      std::size_t next = data.find('\n', pos);
-      if (next == std::string::npos) break;
-      if (!parse_state_record(data.substr(pos, next - pos), entry)) break;
-      pos = next + 1;
-      valid = pos;
-    }
-    if (valid < data.size()) {
+    if (log->torn_tail()) {
       // Drop the torn tail now so the next record_state appends cleanly.
-      int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd >= 0) {
-        (void)::ftruncate(fd, static_cast<off_t>(valid));
-        ::close(fd);
-      }
+      (void)AppendLog::reopen(path, log->valid_bytes);
       ++out.torn_tails;
     }
     out.entries.push_back(std::move(entry));

@@ -6,10 +6,11 @@
 // canonical submit line, idempotency key, priority, deadline) followed
 // by fsync'd append records for each state transition
 // (queued -> running -> done/error/aborted/drained/deadline-expired).
-// The format deliberately mirrors the campaign journal
-// (sim/journal.*): a crash can only tear the last record, so a loader
-// that stops at the first unparseable line -- and truncates it away --
-// recovers exactly what was durable. A restarted daemon scans the
+// Each entry is an append log (support/append_log.h), the same format
+// as the campaign journal: a crash can only tear the last record, so a
+// loader that stops at the first unparseable line -- and truncates it
+// away -- recovers exactly what was durable. This file owns only the
+// header and state schema, the file naming and the quarantine policy. A restarted daemon scans the
 // spool, re-adopts every unfinished job (their journal shards resume
 // byte-identically behind the fingerprint gate), and answers duplicate
 // idempotency keys with the original job id so clients can blindly
@@ -61,7 +62,7 @@ struct SpoolScan {
 };
 
 /// The spool directory. The daemon is the sole writer, so loads may
-/// truncate torn tails in place (exactly like CampaignJournal).
+/// truncate torn tails in place (as a resumed campaign journal does).
 class JobSpool {
  public:
   /// Opens `dir`, creating it if needed.
@@ -76,6 +77,7 @@ class JobSpool {
   [[nodiscard]] Status record_accepted(const SpoolEntry& entry) const;
 
   /// Appends one fsync'd state-transition record to the job's entry.
+  /// IO failures are kIoError naming the entry path.
   [[nodiscard]] Status record_state(std::uint64_t job, const std::string& state,
                                     const std::string& detail = "") const;
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -14,6 +15,7 @@
 
 #include "assertions/coverage.h"
 #include "sim/journal.h"
+#include "support/append_log.h"
 #include "support/table.h"
 #include "trace/binary.h"
 #include "trace/replay.h"
@@ -80,6 +82,9 @@ metrics::ProfileConfig campaign_profile_config() {
   return pc;
 }
 
+/// Retries after a site run throws, before the error stops the sweep.
+constexpr unsigned kSiteRetries = 2;
+
 /// Transient-failure shield around run_fault: a thrown error (resource
 /// exhaustion in a worker, a failed allocation under memory pressure)
 /// gets bounded retries with exponential backoff before it is allowed
@@ -98,15 +103,15 @@ FaultResult run_fault_with_retry(const ir::Design& design, const sched::DesignSc
       return run_fault(design, schedule, externs, feeds, golden, fault, base, max_cycles,
                        profile_out, opt.site_wall_ms);
     } catch (...) {
-      if (attempt >= opt.site_retries) throw;
+      if (attempt >= kSiteRetries) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(1u << attempt));
     }
   }
 }
 
-/// Shared heartbeat state for the serial and parallel sweeps. Emission
-/// is mutex-serialized; tallies update under the same lock, so a line
-/// never reports a torn classification count.
+/// Progress heartbeat state. Not thread-safe: the sweep calls it under
+/// the lock that also covers the journal append and the site sink, so a
+/// line never reports a torn classification count.
 class Heartbeat {
  public:
   Heartbeat(const CampaignOptions& opt, std::size_t total)
@@ -115,7 +120,6 @@ class Heartbeat {
 
   void site_done(FaultOutcome o) {
     if (!opt_.progress) return;
-    std::lock_guard<std::mutex> lock(mu_);
     ++done_;
     ++tally_[static_cast<std::size_t>(o)];
     auto now = std::chrono::steady_clock::now();
@@ -143,12 +147,28 @@ class Heartbeat {
   std::size_t total_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point last_emit_;
-  std::mutex mu_;
   std::size_t done_ = 0;
   std::size_t tally_[kNumFaultOutcomes] = {};
 };
 
 }  // namespace
+
+std::vector<std::size_t> sample_sites(std::size_t sites_total, std::uint64_t seed,
+                                      std::uint64_t max_faults) {
+  std::vector<std::size_t> order(sites_total);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (max_faults != 0 && max_faults < sites_total) {
+    std::mt19937_64 rng(seed);
+    std::shuffle(order.begin(), order.end(), rng);
+    order.resize(max_faults);
+    std::sort(order.begin(), order.end());
+  }
+  return order;
+}
+
+std::uint64_t resolve_max_cycles(std::uint64_t max_cycles, std::uint64_t golden_cycles) {
+  return max_cycles != 0 ? max_cycles : std::max<std::uint64_t>(10'000, 16 * golden_cycles);
+}
 
 GoldenRef golden_run(const ir::Design& design, const sched::DesignSchedule& schedule,
                      const ExternRegistry& externs,
@@ -257,8 +277,7 @@ StatusOr<CampaignReport> run_campaign_st(
   } catch (const InternalError& e) {
     return Status::error(StatusCode::kSimError, e.what());
   }
-  std::uint64_t max_cycles =
-      opt.max_cycles != 0 ? opt.max_cycles : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
+  std::uint64_t max_cycles = resolve_max_cycles(opt.max_cycles, golden.cycles);
 
   std::vector<FaultSpec> sites = enumerate_fault_sites(design, schedule);
 
@@ -268,16 +287,7 @@ StatusOr<CampaignReport> run_campaign_st(
   report.golden_cycles = golden.cycles;
   if (opt.profile) report.golden_profile = golden_profile;
 
-  // Sampling only chooses *which* sites run; the list and the ids are
-  // seed-independent, so campaigns stay comparable across seeds.
-  std::vector<std::size_t> order(sites.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (opt.max_faults != 0 && opt.max_faults < sites.size()) {
-    std::mt19937_64 rng(opt.seed);
-    std::shuffle(order.begin(), order.end(), rng);
-    order.resize(opt.max_faults);
-    std::sort(order.begin(), order.end());
-  }
+  std::vector<std::size_t> order = sample_sites(sites.size(), opt.seed, opt.max_faults);
 
   // A shard (worker entrypoint) runs only its assigned subset of the
   // sampled selection; the journal header below still describes the
@@ -310,7 +320,7 @@ StatusOr<CampaignReport> run_campaign_st(
   // ---- site-order slots and never re-run; the report still renders
   // ---- byte-identically to an uninterrupted campaign because slots,
   // ---- not completion order, define the output.
-  std::unique_ptr<CampaignJournal> journal;
+  std::optional<AppendLog> journal;
   report.results.assign(order.size(), FaultResult{});
   std::vector<char> done(order.size(), 0);  // restored or freshly classified
   if (!opt.journal.empty()) {
@@ -324,15 +334,13 @@ StatusOr<CampaignReport> run_campaign_st(
     hdr.site_wall_ms = opt.site_wall_ms;
     hdr.profile = opt.profile;
 
-    bool reopen = false;
-    std::uint64_t valid_bytes = 0;
+    std::optional<std::uint64_t> resume_at;  // valid bytes of a matching journal
     if (opt.resume) {
       StatusOr<JournalContents> loaded = load_journal(opt.journal);
       // An unreadable or foreign journal is not this campaign's log:
       // start fresh rather than mix outcomes from a different sweep.
       if (loaded.ok() && loaded->header.fingerprint() == hdr.fingerprint()) {
-        reopen = true;
-        valid_bytes = loaded->valid_bytes;
+        resume_at = loaded->valid_bytes;
         for (std::size_t i = 0; i < order.size(); ++i) {
           auto it = loaded->results.find(sites[order[i]].id);
           if (it == loaded->results.end()) continue;
@@ -342,82 +350,49 @@ StatusOr<CampaignReport> run_campaign_st(
         }
       }
     }
-    StatusOr<std::unique_ptr<CampaignJournal>> j =
-        reopen ? CampaignJournal::append_to(opt.journal, valid_bytes)
-               : CampaignJournal::create(opt.journal, hdr);
-    if (!j.ok()) {
-      return Status::error(j.status().code(), "cannot open campaign journal '" + opt.journal +
-                                                  "': " + j.status().message());
+    StatusOr<AppendLog> log = resume_at.has_value()
+                                  ? AppendLog::reopen(opt.journal, resume_at)
+                                  : AppendLog::create(opt.journal, hdr.fingerprint());
+    if (!log.ok()) {
+      return Status::error(log.status().code(), "cannot open campaign journal '" + opt.journal +
+                                                    "': " + log.status().message());
     }
-    journal = std::move(*j);
+    journal.emplace(std::move(*log));
   }
-  std::vector<char> restored = done;
+  const std::vector<char> restored = done;
 
   Heartbeat heartbeat(opt, order.size());
-  metrics::ProfileSummary site_profile;
-  metrics::ProfileSummary* site_profile_ptr = opt.profile ? &site_profile : nullptr;
 
   auto cancelled = [&] {
     return opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed);
   };
-  // Journal durability gates everything downstream of a site run: the
-  // sink and heartbeat only see a site once its record can no longer be
-  // lost, and a failed write/fsync stops the sweep with the path named.
+  // One lock covers everything downstream of a site run: the journal
+  // append, the sink and the heartbeat, so sink calls never overlap and
+  // follow journal order. The sink and heartbeat only see a site once
+  // its record can no longer be lost, and a failed write/fsync stops the
+  // sweep with the path named. Restored sites only tick the heartbeat.
+  std::mutex record_mu;
   auto record = [&](std::size_t i) -> Status {
-    if (journal != nullptr) {
-      Status st = journal->append(report.results[i]);
-      if (!st.ok()) {
-        return Status::error(st.code(),
-                             "campaign journal append failed: " + st.message());
+    std::lock_guard<std::mutex> lock(record_mu);
+    if (restored[i] == 0) {
+      if (journal.has_value()) {
+        Status st = journal->append(journal_line(report.results[i]));
+        if (!st.ok()) {
+          return Status::error(st.code(), "campaign journal append failed: " + st.message());
+        }
       }
+      done[i] = 1;
+      if (opt.site_sink) opt.site_sink(report.results[i]);
     }
-    done[i] = 1;
-    if (opt.site_sink) opt.site_sink(report.results[i]);
     heartbeat.site_done(report.results[i].outcome);
     return Status::ok_status();
   };
-  // An interrupted sweep keeps exactly the classified sites, still in
-  // site order -- the shape a --resume continuation rebuilds from.
-  auto finish = [&]() -> CampaignReport {
-    if (report.interrupted) {
-      std::vector<FaultResult> kept;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        if (done[i] != 0) kept.push_back(std::move(report.results[i]));
-      }
-      report.results = std::move(kept);
-    }
-    return std::move(report);
-  };
 
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (cancelled()) {
-        report.interrupted = true;
-        break;
-      }
-      if (restored[i] != 0) {
-        heartbeat.site_done(report.results[i].outcome);
-        continue;
-      }
-      if (opt.site_start_hook) opt.site_start_hook(sites[order[i]].id);
-      try {
-        report.results[i] =
-            run_fault_with_retry(design, schedule, externs, feeds, golden, sites[order[i]],
-                                 opt.sim, max_cycles, site_profile_ptr, opt);
-      } catch (const InternalError& e) {
-        return Status::internal(e.what());
-      } catch (const std::exception& e) {
-        return Status::internal(std::string("site run failed: ") + e.what());
-      }
-      HLSAV_RETURN_IF_ERROR(record(i));
-    }
-    return finish();
-  }
-
-  // Parallel sweep: every worker owns its Simulators (one fresh instance
+  // Worker pool (threads == 1 is a pool of one, which runs the sites in
+  // site order on the calling thread): every worker owns its Simulators (one fresh instance
   // per fault run); the shared design/schedule/externs/feeds/golden are
   // read-only. Results land in preallocated site-order slots, so the
-  // report is byte-identical to the serial loop's. Journal appends
+  // report is byte-identical at every thread count. Journal appends
   // happen in completion order -- the loader keys by site id, so order
   // on disk is irrelevant.
   std::atomic<std::size_t> next{0};
@@ -436,22 +411,20 @@ StatusOr<CampaignReport> run_campaign_st(
     while (!failed.load(std::memory_order_relaxed) && !cancelled()) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= order.size()) return;
-      if (restored[i] != 0) {
-        heartbeat.site_done(report.results[i].outcome);
-        continue;
-      }
-      if (opt.site_start_hook) opt.site_start_hook(sites[order[i]].id);
-      try {
-        report.results[i] =
-            run_fault_with_retry(design, schedule, externs, feeds, golden, sites[order[i]],
-                                 opt.sim, max_cycles,
-                                 opt.profile ? &local_profile : nullptr, opt);
-      } catch (const InternalError& e) {
-        fail_with(Status::internal(e.what()));
-        return;
-      } catch (const std::exception& e) {
-        fail_with(Status::internal(std::string("site run failed: ") + e.what()));
-        return;
+      if (restored[i] == 0) {
+        if (opt.site_start_hook) opt.site_start_hook(sites[order[i]].id);
+        try {
+          report.results[i] =
+              run_fault_with_retry(design, schedule, externs, feeds, golden, sites[order[i]],
+                                   opt.sim, max_cycles,
+                                   opt.profile ? &local_profile : nullptr, opt);
+        } catch (const InternalError& e) {
+          fail_with(Status::internal(e.what()));
+          return;
+        } catch (const std::exception& e) {
+          fail_with(Status::internal(std::string("site run failed: ") + e.what()));
+          return;
+        }
       }
       Status st = record(i);
       if (!st.ok()) {
@@ -460,23 +433,25 @@ StatusOr<CampaignReport> run_campaign_st(
       }
     }
   };
+  // The calling thread is worker 0, so threads == 1 starts no thread.
   std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
   if (!first_status.ok()) return first_status;
-  if (cancelled() && next.load(std::memory_order_relaxed) < order.size() + threads) {
-    // At least one slot was never dispatched (or was abandoned): the
-    // sweep is incomplete. A cancel that lands after the last site
-    // finished is indistinguishable from a clean run and stays one.
+  // A cancel that lands after the last site finished is
+  // indistinguishable from a clean run and stays one.
+  report.interrupted = cancelled() && std::find(done.begin(), done.end(), 0) != done.end();
+  // An interrupted sweep keeps exactly the classified sites, still in
+  // site order -- the shape a --resume continuation rebuilds from.
+  if (report.interrupted) {
+    std::vector<FaultResult> kept;
     for (std::size_t i = 0; i < order.size(); ++i) {
-      if (done[i] == 0) {
-        report.interrupted = true;
-        break;
-      }
+      if (done[i] != 0) kept.push_back(std::move(report.results[i]));
     }
+    report.results = std::move(kept);
   }
-  return finish();
+  return report;
 }
 
 CampaignReport run_campaign(const ir::Design& design, const sched::DesignSchedule& schedule,
@@ -569,8 +544,7 @@ std::vector<TraceArtifact> trace_nonbenign_sites(
     const TraceRerunOptions& trace_opt) {
   std::vector<TraceArtifact> out;
   GoldenRef golden = golden_run(design, schedule, externs, feeds, opt.sim);
-  std::uint64_t max_cycles =
-      opt.max_cycles != 0 ? opt.max_cycles : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
+  std::uint64_t max_cycles = resolve_max_cycles(opt.max_cycles, golden.cycles);
   std::filesystem::create_directories(trace_opt.dir);
 
   for (const FaultResult& r : report.results) {

@@ -82,11 +82,12 @@ struct CampaignOptions {
   std::uint64_t seed = 1;
   /// 0 = run every enumerated site; otherwise a seeded sample.
   std::size_t max_faults = 0;
-  /// Livelock backstop per faulted run; 0 = max(10'000, 16 * golden).
+  /// Livelock backstop per faulted run; 0 = resolve_max_cycles' default.
   std::uint64_t max_cycles = 0;
   /// Worker threads running fault sites concurrently (one Simulator per
   /// worker; results land in site order either way). 0 = one per
-  /// hardware thread; 1 = the serial loop.
+  /// hardware thread; 1 = one worker, so sites run one at a time in
+  /// site order.
   unsigned threads = 1;
   /// Emit a stderr heartbeat while the sweep runs (sites/sec, ETA,
   /// classification tallies). Off by default so machine-readable output
@@ -106,9 +107,6 @@ struct CampaignOptions {
   /// error) and the sweep moves on -- one pathological site can no
   /// longer pin the whole campaign.
   double site_wall_ms = 0.0;
-  /// Bounded retries (with exponential backoff) when a site run throws
-  /// a transient failure; after the last attempt the error propagates.
-  unsigned site_retries = 2;
   /// Path of the append-only crash-recovery journal (sim/journal.h);
   /// empty = no journal.
   std::string journal;
@@ -127,7 +125,9 @@ struct CampaignOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Called after each freshly-run site is classified AND durably
   /// journaled (restored sites are skipped): the worker entrypoint's
-  /// per-site heartbeat. Serialized by the journal append order.
+  /// per-site heartbeat. Calls never overlap: one lock covers the
+  /// journal append, this sink and the progress heartbeat, so the sink
+  /// sees sites in journal order.
   std::function<void(const FaultResult&)> site_sink;
   /// Called just before each freshly-run site starts. Test-only crash
   /// flags (--crash-at-site) hook here so crash-containment paths are
@@ -164,6 +164,18 @@ struct CampaignReport {
   /// Full campaign table + summary + per-assertion coverage attribution.
   [[nodiscard]] std::string render(const ir::Design& design) const;
 };
+
+/// The sites a campaign runs, as ascending indices into the
+/// enumerate_fault_sites() list: all `sites_total` when `max_faults` is
+/// 0 or covers them, else a sample seeded by `seed` (ids never change).
+/// The sharded supervisor and its workers agree by both calling this.
+[[nodiscard]] std::vector<std::size_t> sample_sites(std::size_t sites_total, std::uint64_t seed,
+                                                    std::uint64_t max_faults);
+
+/// The livelock backstop per faulted run: `max_cycles` when non-zero,
+/// otherwise max(10'000, 16 * golden_cycles).
+[[nodiscard]] std::uint64_t resolve_max_cycles(std::uint64_t max_cycles,
+                                               std::uint64_t golden_cycles);
 
 /// Runs the design un-faulted and records the reference outputs. Throws
 /// InternalError if the golden run itself does not complete cleanly.

@@ -1,14 +1,6 @@
 #include "sim/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include "support/io.h"
+#include "support/append_log.h"
 #include "support/jsonl.h"
 
 namespace hlsav::sim {
@@ -31,65 +23,7 @@ bool parse_outcome(const std::string& line, FaultOutcome& out) {
   return false;
 }
 
-/// Parses one site line into `r` (site carries only the id). False on
-/// any malformed field: the caller treats the line -- and everything
-/// after it -- as a torn tail.
-bool parse_result_line(const std::string& line, FaultResult& r) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
-  std::uint64_t site = 0;
-  if (!jsonl::parse_u64(line, "site", site)) return false;
-  r.site = FaultSpec{};
-  r.site.id = static_cast<std::uint32_t>(site);
-  if (!parse_outcome(line, r.outcome)) return false;
-  if (!jsonl::parse_u32_list(line, "detected_by", r.detected_by)) return false;
-  if (!jsonl::parse_u64(line, "cycles", r.cycles)) return false;
-  r.profile.reset();
-  std::size_t ppos = 0;
-  if (jsonl::find_value(line, "profile", ppos)) {
-    metrics::ProfileSummary p;
-    bool ok = jsonl::parse_u64(line, "run_cycles", p.run_cycles) &&
-              jsonl::parse_u64(line, "compute_cycles", p.compute_cycles) &&
-              jsonl::parse_u64(line, "assert_cycles", p.assert_cycles) &&
-              jsonl::parse_u64(line, "stall_cycles", p.stall_cycles) &&
-              jsonl::parse_u64(line, "tail_cycles", p.tail_cycles) &&
-              jsonl::parse_u64(line, "discarded_stall_cycles", p.discarded_stall_cycles) &&
-              jsonl::parse_u64(line, "blocked_polls", p.blocked_polls) &&
-              jsonl::parse_u64(line, "assert_evals", p.assert_evals) &&
-              jsonl::parse_u64(line, "assert_failures", p.assert_failures) &&
-              jsonl::parse_string(line, "hottest_stall_stream", p.hottest_stall_stream) &&
-              jsonl::parse_u64(line, "hottest_stall_cycles", p.hottest_stall_cycles);
-    if (!ok) return false;
-    r.profile = std::move(p);
-  }
-  return true;
-}
-
-Status errno_status(const std::string& what, const std::string& path) {
-  return Status::io_error(what + " '" + path + "': " + std::strerror(errno));
-}
-
-// Test-injectable write/fsync (set_journal_io_hooks_for_test). The
-// indirection only exists so fault-injection tests can fail an append
-// with a chosen errno on a healthy filesystem.
-const JournalIoHooks* g_io_hooks = nullptr;
-
-ssize_t journal_write(int fd, const void* buf, std::size_t count) {
-  if (g_io_hooks != nullptr && g_io_hooks->write_fn != nullptr) {
-    return g_io_hooks->write_fn(fd, buf, count);
-  }
-  return ::write(fd, buf, count);
-}
-
-int journal_fsync(int fd) {
-  if (g_io_hooks != nullptr && g_io_hooks->fsync_fn != nullptr) {
-    return g_io_hooks->fsync_fn(fd);
-  }
-  return ::fsync(fd);
-}
-
 }  // namespace
-
-void set_journal_io_hooks_for_test(const JournalIoHooks* hooks) { g_io_hooks = hooks; }
 
 std::string JournalHeader::fingerprint() const {
   std::string out = "{\"type\":\"header\",\"design\":";
@@ -133,96 +67,60 @@ std::string journal_line(const FaultResult& r) {
   return out;
 }
 
-StatusOr<JournalContents> load_journal(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::io_error("cannot read journal '" + path + "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  std::string data = buf.str();
-
-  JournalContents out;
-  out.total_bytes = data.size();
-  std::size_t eol = data.find('\n');
-  if (eol == std::string::npos) {
-    return Status::invalid_argument("journal '" + path + "' has no complete header line");
+bool parse_result_line(const std::string& line, FaultResult& r) {
+  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
+  std::uint64_t site = 0;
+  if (!jsonl::parse_u64(line, "site", site)) return false;
+  r.site = FaultSpec{};
+  r.site.id = static_cast<std::uint32_t>(site);
+  if (!parse_outcome(line, r.outcome)) return false;
+  if (!jsonl::parse_u32_list(line, "detected_by", r.detected_by)) return false;
+  if (!jsonl::parse_u64(line, "cycles", r.cycles)) return false;
+  r.profile.reset();
+  std::size_t ppos = 0;
+  if (jsonl::find_value(line, "profile", ppos)) {
+    metrics::ProfileSummary p;
+    bool ok = jsonl::parse_u64(line, "run_cycles", p.run_cycles) &&
+              jsonl::parse_u64(line, "compute_cycles", p.compute_cycles) &&
+              jsonl::parse_u64(line, "assert_cycles", p.assert_cycles) &&
+              jsonl::parse_u64(line, "stall_cycles", p.stall_cycles) &&
+              jsonl::parse_u64(line, "tail_cycles", p.tail_cycles) &&
+              jsonl::parse_u64(line, "discarded_stall_cycles", p.discarded_stall_cycles) &&
+              jsonl::parse_u64(line, "blocked_polls", p.blocked_polls) &&
+              jsonl::parse_u64(line, "assert_evals", p.assert_evals) &&
+              jsonl::parse_u64(line, "assert_failures", p.assert_failures) &&
+              jsonl::parse_string(line, "hottest_stall_stream", p.hottest_stall_stream) &&
+              jsonl::parse_u64(line, "hottest_stall_cycles", p.hottest_stall_cycles);
+    if (!ok) return false;
+    r.profile = std::move(p);
   }
-  std::string header_line = data.substr(0, eol);
-  bool header_ok = jsonl::parse_string(header_line, "design", out.header.design) &&
-                   jsonl::parse_u64(header_line, "seed", out.header.seed) &&
-                   jsonl::parse_u64(header_line, "sites_total", out.header.sites_total) &&
-                   jsonl::parse_u64(header_line, "max_faults", out.header.max_faults) &&
-                   jsonl::parse_u64(header_line, "max_cycles", out.header.max_cycles) &&
-                   jsonl::parse_u64(header_line, "golden_cycles", out.header.golden_cycles) &&
-                   jsonl::parse_double(header_line, "site_wall_ms", out.header.site_wall_ms) &&
-                   jsonl::parse_bool(header_line, "profile", out.header.profile);
+  return true;
+}
+
+StatusOr<JournalContents> load_journal(const std::string& path) {
+  JournalContents out;
+  StatusOr<LogContents> log = read_log(path, [&out](const std::string& line) {
+    FaultResult r;
+    if (!parse_result_line(line, r)) return false;
+    out.results.insert_or_assign(r.site.id, std::move(r));
+    return true;
+  });
+  if (!log.ok()) return Status::error(log.status().code(), "journal: " + log.status().message());
+  const std::string& h = log->header;
+  bool header_ok = jsonl::parse_string(h, "design", out.header.design) &&
+                   jsonl::parse_u64(h, "seed", out.header.seed) &&
+                   jsonl::parse_u64(h, "sites_total", out.header.sites_total) &&
+                   jsonl::parse_u64(h, "max_faults", out.header.max_faults) &&
+                   jsonl::parse_u64(h, "max_cycles", out.header.max_cycles) &&
+                   jsonl::parse_u64(h, "golden_cycles", out.header.golden_cycles) &&
+                   jsonl::parse_double(h, "site_wall_ms", out.header.site_wall_ms) &&
+                   jsonl::parse_bool(h, "profile", out.header.profile);
   if (!header_ok) {
     return Status::invalid_argument("journal '" + path + "' has an unparseable header");
   }
-  out.valid_bytes = eol + 1;
-
-  // Site lines: stop at the first torn/corrupt one. A crash can only
-  // tear the *last* line, so everything before the stop point is real.
-  std::size_t pos = eol + 1;
-  while (pos < data.size()) {
-    std::size_t next = data.find('\n', pos);
-    if (next == std::string::npos) break;  // no newline: torn tail
-    FaultResult r;
-    if (!parse_result_line(data.substr(pos, next - pos), r)) break;
-    out.results.insert_or_assign(r.site.id, std::move(r));
-    pos = next + 1;
-    out.valid_bytes = pos;
-  }
+  out.valid_bytes = log->valid_bytes;
+  out.total_bytes = log->total_bytes;
   return out;
-}
-
-StatusOr<std::unique_ptr<CampaignJournal>> CampaignJournal::create(std::string path,
-                                                                   const JournalHeader& header) {
-  Status st = write_file_atomic(path, header.fingerprint() + "\n");
-  HLSAV_RETURN_IF_ERROR(st);
-  // The rename made the header durable; the *directory entry* needs its
-  // own fsync or a power loss can forget the journal existed at all.
-  std::size_t slash = path.find_last_of('/');
-  st = fsync_dir(slash == std::string::npos ? "." : path.substr(0, slash));
-  HLSAV_RETURN_IF_ERROR(st);
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot reopen journal", path);
-  return std::unique_ptr<CampaignJournal>(new CampaignJournal(std::move(path), fd));
-}
-
-StatusOr<std::unique_ptr<CampaignJournal>> CampaignJournal::append_to(std::string path,
-                                                                      std::uint64_t valid_bytes) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd < 0) return errno_status("cannot open journal", path);
-  // Drop the torn tail (if any) before the first new append lands.
-  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-    Status st = errno_status("cannot truncate journal", path);
-    ::close(fd);
-    return st;
-  }
-  return std::unique_ptr<CampaignJournal>(new CampaignJournal(std::move(path), fd));
-}
-
-CampaignJournal::~CampaignJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status CampaignJournal::append(const FaultResult& r) {
-  std::string line = journal_line(r) + "\n";
-  std::lock_guard<std::mutex> lock(mu_);
-  const char* p = line.data();
-  std::size_t left = line.size();
-  while (left > 0) {
-    ssize_t n = journal_write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("journal write failed", path_);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  // Durable before the site counts as done: resume trusts every line.
-  if (journal_fsync(fd_) != 0) return errno_status("journal fsync failed", path_);
-  return Status::ok_status();
 }
 
 StatusOr<ShardMergeResult> merge_journal_shards(const std::vector<std::string>& paths) {

@@ -1,31 +1,20 @@
-// Crash-safe campaign journal.
+// Crash-safe campaign journal: the schema of a campaign's write-ahead
+// log. The on-disk format (atomic header, fsync'd records, torn-tail
+// stop and truncation) is support/append_log.h's, so a crash, OOM kill
+// or pre-empted CI job never throws completed sites away.
 //
-// A fault campaign over a real design can run for hours; a crash, OOM
-// kill or pre-empted CI job must not throw the completed sites away.
-// The journal is the classic append-only write-ahead log:
-//
-//  * One JSONL file. The first line is a header describing the campaign
-//    (design, seed, sampling, resolved cycle backstop) -- its canonical
-//    `fingerprint()` is what --resume matches against, so a journal can
-//    never be replayed into a *different* campaign.
-//  * One line per classified site, appended and fsync'd the moment the
-//    site completes. Workers append in completion order; the aggregate
-//    report is rebuilt in site order, so an interrupted-then-resumed
-//    campaign renders byte-identically to an uninterrupted one at any
-//    thread count.
-//  * The header is written via write-temp-then-rename, so a crash
-//    during creation leaves either no journal or a valid one -- never a
-//    file with half a header.
-//  * A kill mid-append leaves at most one torn trailing line. The
-//    loader stops at the first unparseable line and reports how many
-//    bytes were valid; resume truncates to that point before it starts
-//    appending again.
+//  * The header line describes the campaign (design, seed, sampling,
+//    resolved cycle backstop) -- its canonical `fingerprint()` is what
+//    --resume matches against, so a journal can never be replayed into
+//    a *different* campaign.
+//  * One record per classified site, in completion order; the report
+//    is rebuilt in site order, so an interrupted-then-resumed campaign
+//    renders byte-identically to an uninterrupted one at any thread
+//    count.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -71,55 +60,14 @@ struct JournalContents {
 /// when even the header line is unusable.
 [[nodiscard]] StatusOr<JournalContents> load_journal(const std::string& path);
 
-/// The append handle. Not movable (owns a mutex and an fd); create()
-/// hands back a unique_ptr.
-class CampaignJournal {
- public:
-  /// Starts a fresh journal at `path`: header written atomically
-  /// (temp + rename), then reopened for appending.
-  [[nodiscard]] static StatusOr<std::unique_ptr<CampaignJournal>> create(
-      std::string path, const JournalHeader& header);
-
-  /// Reopens an existing journal for appending, truncating to
-  /// `valid_bytes` first (drops a torn trailing line, keeps everything
-  /// that was durably recorded).
-  [[nodiscard]] static StatusOr<std::unique_ptr<CampaignJournal>> append_to(
-      std::string path, std::uint64_t valid_bytes);
-
-  ~CampaignJournal();
-  CampaignJournal(const CampaignJournal&) = delete;
-  CampaignJournal& operator=(const CampaignJournal&) = delete;
-
-  /// Appends one classified site and fsyncs. Thread-safe: parallel
-  /// workers call this directly in completion order.
-  [[nodiscard]] Status append(const FaultResult& r);
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  CampaignJournal(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
-
-  std::string path_;
-  int fd_ = -1;
-  std::mutex mu_;
-};
-
-/// Serialized JSONL form of one site outcome (exposed for tests).
+/// Serialized JSONL form of one site outcome: the record a campaign
+/// appends to its journal.
 [[nodiscard]] std::string journal_line(const FaultResult& r);
 
-// ------------------------------------------------------- fault injection --
-
-/// Injectable low-level IO used by CampaignJournal::append. Tests swap
-/// these to simulate ENOSPC/EIO on a healthy filesystem; production
-/// never touches them.
-struct JournalIoHooks {
-  ssize_t (*write_fn)(int fd, const void* buf, std::size_t count);
-  int (*fsync_fn)(int fd);
-};
-
-/// Installs `hooks` for every subsequent append (nullptr restores the
-/// real syscalls). Test-only; not thread-safe against in-flight appends.
-void set_journal_io_hooks_for_test(const JournalIoHooks* hooks);
+/// Parses one journal_line() back into `r` (site carries only the id).
+/// False on any malformed field: a loader treats the line -- and
+/// everything after it -- as a torn tail.
+[[nodiscard]] bool parse_result_line(const std::string& line, FaultResult& r);
 
 // ----------------------------------------------------------- shard merge --
 

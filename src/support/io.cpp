@@ -13,6 +13,23 @@ std::string temp_sibling_path(const std::string& path) {
   return path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
 }
 
+bool write_all(int fd, std::string_view data,
+               ssize_t (*write_fn)(int, const void*, std::size_t)) {
+  if (write_fn == nullptr) write_fn = ::write;
+  const char* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    ssize_t n = write_fn(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 Status write_file_atomic(const std::string& path, std::string_view content) {
   const std::string tmp = temp_sibling_path(path);
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -25,17 +42,7 @@ Status write_file_atomic(const std::string& path, std::string_view content) {
     ::unlink(tmp.c_str());
     return Status::io_error(what + " '" + tmp + "': " + std::strerror(saved));
   };
-  const char* p = content.data();
-  std::size_t left = content.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail("write to");
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
+  if (!write_all(fd, content)) return fail("write to");
   if (::fsync(fd) != 0) return fail("fsync of");
   if (::close(fd) != 0) {
     ::unlink(tmp.c_str());

@@ -1,16 +1,21 @@
-// Write-ahead job spool (serve/spool.h): header/state round trips and
-// the crash-shaped load edge cases -- header-only entries, torn tails,
-// duplicate keys across incarnations, unreadable entries.
+// Write-ahead job spool (serve/spool.h): header/state round trips, the
+// crash-shaped load edge cases -- header-only entries, torn tails,
+// duplicate keys across incarnations, unreadable entries -- and
+// ENOSPC/EIO/fsync failures injected through the append log's hooks.
 #include "serve/spool.h"
 
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
+
+#include "support/append_log.h"
 
 namespace hlsav::serve {
 namespace {
@@ -190,6 +195,131 @@ TEST(Spool, TerminalStateVocabulary) {
   for (const char* s : {"queued", "running", "merging", ""}) {
     EXPECT_FALSE(JobSpool::state_terminal(s)) << s;
   }
+}
+
+// ------------------------------------------------- IO fault injection --
+
+ssize_t enospc_write(int, const void*, std::size_t) {
+  errno = ENOSPC;
+  return -1;
+}
+
+int g_writes = 0;  // writes seen by short_then_eio_write
+
+ssize_t short_then_eio_write(int fd, const void* buf, std::size_t count) {
+  if (g_writes++ == 0) return ::write(fd, buf, count > 4 ? 4 : count);  // short write, then...
+  errno = EIO;
+  return -1;
+}
+
+int failing_fsync(int) {
+  errno = EIO;
+  return -1;
+}
+
+struct HookGuard {
+  explicit HookGuard(const AppendLogIoHooks* hooks) { set_append_log_io_hooks_for_test(hooks); }
+  ~HookGuard() { set_append_log_io_hooks_for_test(nullptr); }
+};
+
+/// A spool holding job 7 in state "running": the durable prefix every
+/// failed transition below must leave loadable.
+struct RunningJob {
+  std::string dir;
+  std::string path;
+  std::string intact;  // entry bytes before the failing transition
+  std::optional<JobSpool> spool;
+};
+
+RunningJob running_job(const std::string& name) {
+  RunningJob j;
+  j.dir = fresh_dir(name);
+  StatusOr<JobSpool> spool = JobSpool::open(j.dir);
+  EXPECT_TRUE(spool.ok()) << spool.status().to_string();
+  if (!spool.ok()) return j;
+  j.spool.emplace(*spool);
+  EXPECT_TRUE(j.spool->record_accepted(entry(7, "key-io")).ok());
+  EXPECT_TRUE(j.spool->record_state(7, "running").ok());
+  j.path = j.dir + "/job_00000007.spool";
+  j.intact = slurp(j.path);
+  return j;
+}
+
+TEST(Spool, RecordStateEnospcIsAnIoErrorNamingTheEntry) {
+  RunningJob j = running_job("enospc");
+  ASSERT_TRUE(j.spool.has_value());
+  static AppendLogIoHooks hooks{enospc_write, nullptr};
+  Status st;
+  {
+    HookGuard guard(&hooks);
+    st = j.spool->record_state(7, "done");
+  }
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find(j.path), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("No space left on device"), std::string::npos) << st.message();
+
+  // Nothing reached the file: the entry loads as it was.
+  StatusOr<SpoolScan> scan = j.spool->scan();
+  ASSERT_TRUE(scan.ok()) << scan.status().to_string();
+  ASSERT_EQ(scan->entries.size(), 1u);
+  EXPECT_EQ(scan->entries[0].state, "running");
+  EXPECT_EQ(scan->torn_tails, 0u);
+  EXPECT_EQ(slurp(j.path), j.intact);
+}
+
+TEST(Spool, RecordStateShortWriteThenEioLeavesATailScanTruncates) {
+  RunningJob j = running_job("eio");
+  ASSERT_TRUE(j.spool.has_value());
+  static AppendLogIoHooks hooks{short_then_eio_write, nullptr};
+  g_writes = 0;
+  Status st;
+  {
+    HookGuard guard(&hooks);
+    st = j.spool->record_state(7, "done");
+  }
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find(j.path), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("Input/output error"), std::string::npos) << st.message();
+  EXPECT_EQ(slurp(j.path).size(), j.intact.size() + 4);  // the short write landed
+
+  // The torn record is dropped and the file cut back to its durable
+  // prefix, so the next transition appends cleanly.
+  StatusOr<SpoolScan> scan = j.spool->scan();
+  ASSERT_TRUE(scan.ok()) << scan.status().to_string();
+  ASSERT_EQ(scan->entries.size(), 1u);
+  EXPECT_EQ(scan->entries[0].state, "running");
+  EXPECT_EQ(scan->torn_tails, 1u);
+  EXPECT_EQ(slurp(j.path), j.intact);
+  ASSERT_TRUE(j.spool->record_state(7, "done").ok());
+  StatusOr<SpoolScan> after = j.spool->scan();
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->entries.size(), 1u);
+  EXPECT_EQ(after->entries[0].state, "done");
+}
+
+TEST(Spool, RecordStateFsyncFailureIsAnIoErrorNamingTheEntry) {
+  RunningJob j = running_job("fsync");
+  ASSERT_TRUE(j.spool.has_value());
+  static AppendLogIoHooks hooks{nullptr, failing_fsync};
+  Status st;
+  {
+    HookGuard guard(&hooks);
+    st = j.spool->record_state(7, "done");
+  }
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find(j.path), std::string::npos) << st.message();
+
+  // The whole record was written before its fsync failed, so there is
+  // no torn tail: the entry loads with the complete record.
+  StatusOr<SpoolScan> scan = j.spool->scan();
+  ASSERT_TRUE(scan.ok()) << scan.status().to_string();
+  ASSERT_EQ(scan->entries.size(), 1u);
+  EXPECT_EQ(scan->torn_tails, 0u);
+  EXPECT_EQ(scan->entries[0].state, "done");
+  EXPECT_EQ(slurp(j.path).compare(0, j.intact.size(), j.intact), 0);
 }
 
 }  // namespace

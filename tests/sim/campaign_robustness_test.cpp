@@ -1,13 +1,15 @@
 // Robustness surface of run_campaign_st: shard filters, cooperative
 // cancellation, per-site hooks, and journal IO-failure containment via
-// the injectable write/fsync hooks.
+// the append log's injectable write/fsync hooks.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "assertions/options.h"
@@ -15,6 +17,7 @@
 #include "common/test_util.h"
 #include "sim/campaign.h"
 #include "sim/journal.h"
+#include "support/append_log.h"
 
 namespace hlsav::sim {
 namespace {
@@ -129,6 +132,30 @@ TEST(CampaignRobustness, SiteSinkFiresOncePerSiteAfterJournaling) {
   EXPECT_EQ(started, sunk);  // serial sweep: start order == journal order
 }
 
+TEST(CampaignRobustness, SiteSinkCallsNeverOverlapWithoutAJournal) {
+  // No journal append to serialize on: the sweep's own lock must still
+  // keep a parallel pool's sink calls from overlapping.
+  H h = make_clamp();
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<std::size_t> calls{0};
+  CampaignOptions opt;
+  opt.threads = 4;
+  opt.site_sink = [&](const FaultResult&) {
+    if (inside.fetch_add(1) != 0) overlapped = true;
+    // Hold the sink open long enough for other workers to finish a site.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ++calls;
+    inside.fetch_sub(1);
+  };
+  StatusOr<CampaignReport> r =
+      run_campaign_st(h.design, h.schedule, h.externs, h.feeds, opt);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(r->threads, 4u);
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(calls.load(), r->results.size());
+}
+
 TEST(CampaignRobustness, ResumedSitesDoNotRefireTheSink) {
   H h = make_clamp();
   std::string journal = temp_path("resink.jsonl");
@@ -172,9 +199,11 @@ int failing_fsync(int) {
   return -1;
 }
 
+using JournalIoHooks = AppendLogIoHooks;
+
 struct HookGuard {
-  explicit HookGuard(const JournalIoHooks* hooks) { set_journal_io_hooks_for_test(hooks); }
-  ~HookGuard() { set_journal_io_hooks_for_test(nullptr); }
+  explicit HookGuard(const JournalIoHooks* hooks) { set_append_log_io_hooks_for_test(hooks); }
+  ~HookGuard() { set_append_log_io_hooks_for_test(nullptr); }
 };
 
 TEST(CampaignRobustness, JournalEnospcSurfacesAsStatusNamingThePath) {

@@ -16,6 +16,7 @@
 #include "common/test_util.h"
 #include "sim/campaign.h"
 #include "sim/journal.h"
+#include "support/append_log.h"
 
 namespace hlsav::sim {
 namespace {
@@ -70,12 +71,13 @@ FaultResult sample_result(std::uint32_t site, FaultOutcome outcome) {
 TEST(Journal, AppendedLinesRoundTripThroughLoad) {
   std::string path = temp_path("journal_rt.jsonl");
   JournalHeader h = make_header();
-  StatusOr<std::unique_ptr<CampaignJournal>> j = CampaignJournal::create(path, h);
-  ASSERT_TRUE(j.ok()) << j.status().to_string();
-  ASSERT_TRUE((*j)->append(sample_result(0, FaultOutcome::kBenign)).ok());
-  ASSERT_TRUE((*j)->append(sample_result(5, FaultOutcome::kDetected)).ok());
-  ASSERT_TRUE((*j)->append(sample_result(2, FaultOutcome::kBudgetExceeded)).ok());
-  j->reset();  // close the fd before reading
+  {  // the log closes its fd before reading
+    StatusOr<AppendLog> j = AppendLog::create(path, h.fingerprint());
+    ASSERT_TRUE(j.ok()) << j.status().to_string();
+    ASSERT_TRUE(j->append(journal_line(sample_result(0, FaultOutcome::kBenign))).ok());
+    ASSERT_TRUE(j->append(journal_line(sample_result(5, FaultOutcome::kDetected))).ok());
+    ASSERT_TRUE(j->append(journal_line(sample_result(2, FaultOutcome::kBudgetExceeded))).ok());
+  }
 
   StatusOr<JournalContents> loaded = load_journal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
@@ -99,9 +101,9 @@ TEST(Journal, ProfileSummaryRoundTrips) {
   r.profile->compute_cycles = 200;
   r.profile->stall_cycles = 100;
   {
-    StatusOr<std::unique_ptr<CampaignJournal>> j = CampaignJournal::create(path, h);
+    StatusOr<AppendLog> j = AppendLog::create(path, h.fingerprint());
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append(r).ok());
+    ASSERT_TRUE(j->append(journal_line(r)).ok());
   }
   StatusOr<JournalContents> loaded = load_journal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
@@ -114,11 +116,10 @@ TEST(Journal, ProfileSummaryRoundTrips) {
 TEST(Journal, TornTrailingLineIsDroppedNotFatal) {
   std::string path = temp_path("journal_torn.jsonl");
   {
-    StatusOr<std::unique_ptr<CampaignJournal>> j =
-        CampaignJournal::create(path, make_header());
+    StatusOr<AppendLog> j = AppendLog::create(path, make_header().fingerprint());
     ASSERT_TRUE(j.ok());
-    ASSERT_TRUE((*j)->append(sample_result(0, FaultOutcome::kBenign)).ok());
-    ASSERT_TRUE((*j)->append(sample_result(1, FaultOutcome::kDetected)).ok());
+    ASSERT_TRUE(j->append(journal_line(sample_result(0, FaultOutcome::kBenign))).ok());
+    ASSERT_TRUE(j->append(journal_line(sample_result(1, FaultOutcome::kDetected))).ok());
   }
   std::uint64_t intact = std::filesystem::file_size(path);
   {
@@ -131,12 +132,11 @@ TEST(Journal, TornTrailingLineIsDroppedNotFatal) {
   EXPECT_EQ(loaded->results.size(), 2u);
   EXPECT_EQ(loaded->valid_bytes, intact);
 
-  // append_to() must truncate the torn bytes before writing more.
+  // reopen() must truncate the torn bytes before writing more.
   {
-    StatusOr<std::unique_ptr<CampaignJournal>> j =
-        CampaignJournal::append_to(path, loaded->valid_bytes);
+    StatusOr<AppendLog> j = AppendLog::reopen(path, loaded->valid_bytes);
     ASSERT_TRUE(j.ok()) << j.status().to_string();
-    ASSERT_TRUE((*j)->append(sample_result(2, FaultOutcome::kBenign)).ok());
+    ASSERT_TRUE(j->append(journal_line(sample_result(2, FaultOutcome::kBenign))).ok());
   }
   StatusOr<JournalContents> reloaded = load_journal(path);
   ASSERT_TRUE(reloaded.ok());

@@ -280,12 +280,10 @@ bool parse_args(int argc, char** argv, Args& args) {
   args.file = argv[2];
   for (int i = 3; i < argc; ++i) {
     std::string a = argv[i];
-    if (a == "--assertions=ndebug") {
-      args.assert_opts = assertions::Options::ndebug();
-    } else if (a == "--assertions=unoptimized") {
-      args.assert_opts = assertions::Options::unoptimized();
-    } else if (a == "--assertions=optimized") {
-      args.assert_opts = assertions::Options::optimized();
+    if (starts_with(a, "--assertions=")) {
+      std::optional<assertions::Options> o = assertions::Options::from_name(a.substr(13));
+      if (!o.has_value()) return bad_value(a);
+      args.assert_opts = *o;
     } else if (a == "--no-parallelize") {
       args.assert_opts.parallelize = false;
     } else if (a == "--no-replicate") {
@@ -706,9 +704,7 @@ int run(const Args& args) {
       arm_engine(copt.sim);
       sim::GoldenRef golden =
           sim::golden_run(design, schedule, externs, args.feeds, copt.sim);
-      std::uint64_t max_cycles = copt.max_cycles != 0
-                                     ? copt.max_cycles
-                                     : std::max<std::uint64_t>(10'000, 16 * golden.cycles);
+      std::uint64_t max_cycles = sim::resolve_max_cycles(copt.max_cycles, golden.cycles);
       sim::CampaignReport rep;
       rep.results.push_back(sim::run_fault(design, schedule, externs, args.feeds, golden,
                                            sites[args.trace_site], copt.sim, max_cycles));

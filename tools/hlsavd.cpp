@@ -89,6 +89,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -236,14 +237,12 @@ int run_worker(const WorkerArgs& args) {
   SourceManager sm;
   DiagnosticEngine diags(&sm);
   pipeline::CompileOptions copts;
-  if (args.assertions == "ndebug") {
-    copts.assert_opts = assertions::Options::ndebug();
-  } else if (args.assertions == "unoptimized") {
-    copts.assert_opts = assertions::Options::unoptimized();
-  } else if (args.assertions != "optimized") {
+  std::optional<assertions::Options> aopts = assertions::Options::from_name(args.assertions);
+  if (!aopts.has_value()) {
     std::cerr << "hlsavd worker: unknown assertions mode '" << args.assertions << "'\n";
     return 2;
   }
+  copts.assert_opts = *aopts;
   StatusOr<pipeline::Compiled> compiled = pipeline::compile_file(sm, diags, args.design, copts);
   if (!compiled.ok()) {
     std::cerr << diags.render();
