@@ -1,9 +1,11 @@
 #include "codegen/emit.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/compiled.h"
@@ -181,11 +183,14 @@ std::string decline_reason(const ir::Design& design, const Process& p,
 
 // ------------------------------------------------------- process emitter --
 
+// Renders the body of one process function. The text names nothing
+// specific to the process instance -- callbacks read the process index
+// from st[kStPidx] and memories go through process-local numbers -- so
+// processes with identical FSMDs render identical text.
 class ProcEmitter {
  public:
-  ProcEmitter(const ir::Design& design, const Process& p, const sched::ProcessSchedule& sched,
-              std::uint32_t pidx, std::string symbol)
-      : design_(design), p_(p), sched_(sched), pidx_(pidx), symbol_(std::move(symbol)) {
+  ProcEmitter(const ir::Design& design, const Process& p, const sched::ProcessSchedule& sched)
+      : design_(design), p_(p), sched_(sched), mems_(p.memories_accessed()) {
     for (std::size_t i = 0; i < p_.loops.size(); ++i) {
       const ir::LoopInfo& l = p_.loops[i];
       if (!l.pipelined) continue;
@@ -194,12 +199,9 @@ class ProcEmitter {
     }
   }
 
+  /// The statements between the function's braces.
   std::string emit() {
-    os_ << "/* process '" << c_escape(p_.name) << "' */\n";
-    os_ << "static uint64_t " << symbol_
-        << "(uint64_t* r, uint64_t* st, uint64_t* const* mem, void* sim,\n"
-        << "    const void* const* cb) {\n"
-        << "  uint64_t ib = 0;\n"
+    os_ << "  uint64_t ib = 0;\n"
         << "  (void)r; (void)mem; (void)ib;\n";
     emit_dispatch();
     for (const BasicBlock& b : p_.blocks) {
@@ -211,7 +213,6 @@ class ProcEmitter {
         emit_sequential(b);
       }
     }
-    os_ << "}\n\n";
     return os_.str();
   }
 
@@ -224,6 +225,10 @@ class ProcEmitter {
     return "L" + std::to_string(b) + "_" + std::to_string(i);
   }
   static std::string stw(std::uint32_t word) { return "st[" + std::to_string(word) + "]"; }
+  [[nodiscard]] std::string mem_ref(ir::MemId id) const {
+    auto k = std::find(mems_.begin(), mems_.end(), id) - mems_.begin();
+    return "mem[" + std::to_string(k) + "]";
+  }
 
   [[nodiscard]] bool is_pipe_body(ir::BlockId b) const {
     for (ir::BlockId x : pipe_body_) {
@@ -306,8 +311,8 @@ class ProcEmitter {
       os_ << op_label(b.id, resume_idx) << ": ;\n";
       os_ << "  " << stw(sim::kStResumeOp) << " = " << resume_idx << "u;\n";
       os_ << "  {\n    uint32_t s_ = ((hlsav_cb_op_fn)cb[" << callback_slot(op.kind)
-          << "])(sim, " << pidx_ << "u, " << cb_block << "u, " << cb_op << "u, " << at_expr
-          << ");\n"
+          << "])(sim, (uint32_t)" << stw(sim::kStPidx) << ", " << cb_block << "u, " << cb_op
+          << "u, " << at_expr << ");\n"
           << "    if (s_ == " << sim::kCbBlocked << "u) return HLSAV_RET(" << sim::kRetBlocked
           << "u);\n"
           << "    if (s_ == " << sim::kCbHalt << "u) " << stw(sim::kStHalt) << " = 1u;\n"
@@ -355,14 +360,14 @@ class ProcEmitter {
       case OpKind::kLoad: {
         const ir::Memory& mm = design_.memory(op.mem);
         os_ << "  {\n    uint64_t i_ = " << val(op.args[0]) << ";\n"
-            << "    " << d << " = i_ < " << u64_lit(mm.size) << " ? (mem[" << op.mem
-            << "][i_] & " << mask_lit(mm.width) << ") : 0u;\n  }\n";
+            << "    " << d << " = i_ < " << u64_lit(mm.size) << " ? (" << mem_ref(op.mem)
+            << "[i_] & " << mask_lit(mm.width) << ") : 0u;\n  }\n";
         break;
       }
       case OpKind::kStore: {
         const ir::Memory& mm = design_.memory(op.mem);
         os_ << "  {\n    uint64_t i_ = " << val(op.args[0]) << ";\n"
-            << "    if (i_ < " << u64_lit(mm.size) << ") mem[" << op.mem << "][i_] = "
+            << "    if (i_ < " << u64_lit(mm.size) << ") " << mem_ref(op.mem) << "[i_] = "
             << val(op.args[1]) << ";\n  }\n";
         break;
       }
@@ -555,8 +560,7 @@ class ProcEmitter {
   const ir::Design& design_;
   const Process& p_;
   const sched::ProcessSchedule& sched_;
-  std::uint32_t pidx_;
-  std::string symbol_;
+  std::vector<ir::MemId> mems_;  // process-local memory numbering
   std::map<ir::BlockId, std::uint32_t> header_loop_;
   std::vector<ir::BlockId> pipe_body_;
   std::ostringstream os_;
@@ -569,7 +573,9 @@ EmitResult emit_design(const ir::Design& design, const sched::DesignSchedule& sc
   std::ostringstream os;
   emit_prelude(os);
 
-  std::uint32_t pidx = 0;
+  // One C function per distinct body text: exact text identity is the
+  // sharing criterion, so a shared function is correct by construction.
+  std::unordered_map<std::string, std::string> symbol_of_body;
   for (const auto& up : design.processes) {
     const Process& p = *up;
     if (p.role != ir::ProcessRole::kApplication) continue;
@@ -578,12 +584,19 @@ EmitResult emit_design(const ir::Design& design, const sched::DesignSchedule& sc
     const sched::ProcessSchedule* ps = schedule.find(p.name);
     pe.decline_reason = decline_reason(design, p, ps);
     if (pe.decline_reason.empty()) {
-      pe.symbol = "hlsav_p" + std::to_string(pidx);
-      os << ProcEmitter(design, p, *ps, pidx, pe.symbol).emit();
+      std::string body = ProcEmitter(design, p, *ps).emit();
+      auto [it, fresh] = symbol_of_body.try_emplace(
+          std::move(body), "hlsav_p" + std::to_string(symbol_of_body.size()));
+      pe.symbol = it->second;
+      if (fresh) {
+        os << "/* process '" << c_escape(p.name) << "' */\n"
+           << "static uint64_t " << pe.symbol
+           << "(uint64_t* r, uint64_t* st, uint64_t* const* mem, void* sim,\n"
+           << "    const void* const* cb) {\n"
+           << it->first << "}\n\n";
+      }
     }
     result.procs.push_back(std::move(pe));
-    ++pidx;  // pidx indexes the simulator's ProcState array: count every
-             // application process, declined or not.
   }
 
   // Exported registry: the loader resolves these four symbols.

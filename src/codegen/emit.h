@@ -1,12 +1,15 @@
 // C source emission for the compiled-simulation backend.
 //
 // emit_design() walks every scheduled application process and lowers its
-// FSMD to one specialized C function: ops are monomorphized to their
+// FSMD to a specialized C function body: ops are monomorphized to their
 // literal widths as native uint64_t arithmetic, blocks become labels
 // joined by gotos, and the schedule's state offsets are folded into the
-// timestamps handed to the simulator callbacks. The emitted translation
-// unit is self-contained C99 whose only runtime dependency is the
-// callback table described by sim/compiled.h.
+// timestamps handed to the simulator callbacks. A body names no process
+// index and no design-wide memory id (see sim/compiled.h), so processes
+// with identical FSMDs render identical text; each distinct text is
+// emitted once and the registry points every such process at it. The
+// emitted translation unit is self-contained C99 whose only runtime
+// dependency is the callback table described by sim/compiled.h.
 //
 // Emission is per-process best-effort: a process codegen cannot
 // represent faithfully (a register, memory or immediate wider than 64
@@ -26,7 +29,7 @@ namespace hlsav::codegen {
 /// Outcome of emitting one application process.
 struct ProcEmit {
   std::string process;
-  std::string symbol;          // exported function name; empty when declined
+  std::string symbol;          // function name (shared by identical bodies); empty when declined
   std::string decline_reason;  // why codegen declined (symbol empty)
 
   [[nodiscard]] bool compiled() const { return !symbol.empty(); }

@@ -178,12 +178,14 @@ StatusOr<LoadedModule> compile_module(const std::string& source, const CompileOp
     return Status::io_error("cannot create cache directory '" + dir + "': " + ec.message());
   }
 
-  // Unique temp names (pid-qualified) so concurrent builds of the same
-  // design race benignly: last rename wins, both results are identical.
-  const std::string tag = "." + std::to_string(::getpid()) + ".tmp";
-  const std::string c_path = base + tag + ".c";
-  const std::string tmp_so = base + tag + ".so";
-  const std::string log_path = base + tag + ".log";
+  // Temp names unique per call (pid plus a process-wide counter) so
+  // concurrent builds of the same design -- from other processes or from
+  // other threads of this one -- race benignly: last rename wins, and
+  // every result is identical.
+  const std::string tmp = temp_sibling_path(base);
+  const std::string c_path = tmp + ".c";
+  const std::string tmp_so = tmp + ".so";
+  const std::string log_path = tmp + ".log";
 
   std::string full = source;
   full += "const char hlsav_design_key[] = \"" + key + "\";\n";

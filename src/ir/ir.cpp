@@ -75,6 +75,18 @@ const LoopInfo* Process::loop_with_body(BlockId b) const {
   return nullptr;
 }
 
+std::vector<MemId> Process::memories_accessed() const {
+  std::vector<MemId> out;
+  for (const BasicBlock& b : blocks) {
+    for (const Op& op : b.ops) {
+      if (op.is_memory_access() && std::find(out.begin(), out.end(), op.mem) == out.end()) {
+        out.push_back(op.mem);
+      }
+    }
+  }
+  return out;
+}
+
 // ------------------------------------------------------------- Design --
 
 Process& Design::add_process(std::string proc_name) {

@@ -267,6 +267,11 @@ struct Process {
   [[nodiscard]] unsigned operand_width(const Operand& o) const;
   /// The LoopInfo whose body block is `b`, if any.
   [[nodiscard]] const LoopInfo* loop_with_body(BlockId b) const;
+  /// Memories this process loads or stores, in order of first access
+  /// over its blocks. Position k is the process-local memory number
+  /// compiled code indexes (`mem[k]`); codegen and the Simulator both
+  /// number memories through this one function.
+  [[nodiscard]] std::vector<MemId> memories_accessed() const;
 };
 
 // ---------------------------------------------------------- Assertions --

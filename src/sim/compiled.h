@@ -1,15 +1,21 @@
 // Compiled-simulation ABI: the contract between the Simulator and
 // AOT-compiled process functions produced by hlsav_codegen.
 //
-// A compiled process is one C function driving the whole FSMD of that
-// process: straight-line native uint64_t arithmetic for every scheduled
-// op, direct gotos between blocks, and callbacks into the Simulator for
-// the ops that touch shared state (stream handshakes, extern calls,
+// A compiled process body is one C function driving a whole FSMD:
+// straight-line native uint64_t arithmetic for every scheduled op,
+// direct gotos between blocks, and callbacks into the Simulator for the
+// ops that touch shared state (stream handshakes, extern calls,
 // assertion machinery) or wall-clock (deadline polls). All mutable
 // per-process state lives in buffers the Simulator owns and passes in,
 // so a compiled function is reentrant and never blocks: when a stream
 // op cannot complete it records its resume position in the state words
 // and returns kRetBlocked; the next call re-enters at exactly that op.
+//
+// Nothing process-specific is baked into the function text: the
+// process index a callback names is read from st[kStPidx], and memories
+// are addressed through a per-process pointer table numbered by
+// ir::Process::memories_accessed(). Processes whose FSMDs are identical
+// (every stage of a loopback chain) therefore share one function.
 //
 // The simulator side of the contract lives here (sim must not depend on
 // codegen); the generated-code side is a prelude hlsav_codegen emits
@@ -28,7 +34,7 @@ namespace hlsav::sim {
 /// Bump on any ABI change (state-word layout, callback table, return
 /// encoding, exported symbol set). Part of the on-disk cache key and
 /// embedded in every generated object.
-inline constexpr std::uint32_t kCompiledAbiVersion = 1;
+inline constexpr std::uint32_t kCompiledAbiVersion = 2;
 
 /// Execution engine selection (SimOptions::engine).
 enum class SimEngine : std::uint8_t {
@@ -51,7 +57,8 @@ inline constexpr std::uint32_t kStProgress = 7;     // any op/retire progressed
 inline constexpr std::uint32_t kStHalt = 8;         // design halted (finish block, then return)
 inline constexpr std::uint32_t kStInPipe = 9;       // resume position is inside a pipelined loop
 inline constexpr std::uint32_t kStFlags = 10;       // bit 0: deadline armed
-inline constexpr std::uint32_t kStWords = 11;
+inline constexpr std::uint32_t kStPidx = 11;        // process index callbacks report
+inline constexpr std::uint32_t kStWords = 12;
 
 inline constexpr std::uint64_t kStFlagDeadline = 1;
 
@@ -79,7 +86,8 @@ using PollCallbackFn = std::uint32_t (*)(void* sim);
 
 // ---- compiled process entry point --------------------------------------
 /// Runs the process until it finishes, blocks, halts or trips a cycle
-/// limit. Returns (tag << 32) | payload.
+/// limit. Returns (tag << 32) | payload. `mems[k]` is the k-th memory
+/// of ir::Process::memories_accessed() for the process being run.
 using CompiledProcFn = std::uint64_t (*)(std::uint64_t* regs, std::uint64_t* st,
                                          std::uint64_t* const* mems, void* sim,
                                          const void* const* cb);
@@ -99,6 +107,7 @@ inline constexpr std::uint32_t kRetCycleLimitPipe = 4;  // payload: LoopInfo ind
 
 // ---- what the simulator consumes ---------------------------------------
 /// One compiled application process, matched to the design by name.
+/// Processes with identical bodies carry the same `fn`.
 struct CompiledProc {
   std::string process;
   CompiledProcFn fn = nullptr;
@@ -109,7 +118,8 @@ struct CompiledProc {
 /// and must outlive every Simulator its handle is attached to.
 struct CompiledDesignHandle {
   /// Compiled processes (a subset of the application processes when
-  /// codegen declined some). Matched by name; unmatched processes
+  /// codegen declined some), in declaration order. Matched by name in
+  /// one walk alongside the design's processes; unmatched processes
   /// interpret as usual.
   std::vector<CompiledProc> procs;
   /// Content-address of the generated source (cache key component);

@@ -170,21 +170,23 @@ void Simulator::init_engine() {
     }
   }
 
+  // Both lists are in declaration order (codegen skips only the
+  // processes it declined), so one walk matches them.
   std::size_t attached = 0;
-  for (ProcState& ps : procs_) {
-    const CompiledProc* match = nullptr;
-    for (const CompiledProc& cp : opt_.compiled->procs) {
-      if (cp.process == ps.proc->name && cp.fn != nullptr) {
-        match = &cp;
-        break;
-      }
-    }
-    if (match == nullptr) continue;
-    ps.cfn = match->fn;
+  const std::vector<CompiledProc>& cprocs = opt_.compiled->procs;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < procs_.size() && next < cprocs.size(); ++i) {
+    ProcState& ps = procs_[i];
+    const CompiledProc& cp = cprocs[next];
+    if (cp.process != ps.proc->name) continue;
+    ++next;
+    if (cp.fn == nullptr) continue;
+    ps.cfn = cp.fn;
     ps.regs64.assign(ps.proc->regs.size(), 0);
     ps.st.fill(0);
     ps.st[kStMaxCycles] = opt_.max_cycles;
     ps.st[kStResumeBlock] = ps.proc->entry;
+    ps.st[kStPidx] = i;
     if (deadline_ != nullptr) ps.st[kStFlags] |= kStFlagDeadline;
     ++attached;
   }
@@ -197,14 +199,16 @@ void Simulator::init_engine() {
   // One coherent memory image for both engines: compiled code indexes
   // raw u64 arrays, interpreted processes and checkers branch to them.
   mem64_.resize(design_.memories.size());
-  mem64_ptrs_.resize(design_.memories.size());
   for (const ir::Memory& m : design_.memories) {
     auto& mem = mem64_[m.id];
     mem.assign(m.size, 0);
     for (std::size_t i = 0; i < m.init.size() && i < mem.size(); ++i) {
       mem[i] = m.init[i].to_u64();
     }
-    mem64_ptrs_[m.id] = mem.data();
+  }
+  for (ProcState& ps : procs_) {
+    if (ps.cfn == nullptr) continue;
+    for (ir::MemId id : ps.proc->memories_accessed()) ps.mems64.push_back(mem64_[id].data());
   }
   cb_table_[kCbStreamRead] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
   cb_table_[kCbStreamWrite] = reinterpret_cast<const void*>(&Simulator::cb_exec_trampoline);
@@ -832,7 +836,7 @@ bool Simulator::step_process(ProcState& ps) {
 bool Simulator::step_process_compiled(ProcState& ps) {
   ps.st[kStProgress] = 0;
   ps.st[kStHalt] = halt_ ? 1 : 0;
-  std::uint64_t r = ps.cfn(ps.regs64.data(), ps.st.data(), mem64_ptrs_.data(), this,
+  std::uint64_t r = ps.cfn(ps.regs64.data(), ps.st.data(), ps.mems64.data(), this,
                            cb_table_.data());
   ps.cycle = ps.st[kStCycle];
   switch (ret_tag(r)) {

@@ -284,10 +284,12 @@ class Simulator {
     std::vector<BitVector> regs;
     std::optional<PipeCtx> pipe;
     /// Compiled engine (when non-null the interpreter never runs this
-    /// process): the AOT function, its u64 register file, and the state
-    /// words it communicates through (sim/compiled.h layout).
+    /// process): the AOT function, its u64 register file, its memory
+    /// table (mem64_ rows numbered by ir::Process::memories_accessed),
+    /// and the state words it communicates through (sim/compiled.h).
     CompiledProcFn cfn = nullptr;
     std::vector<std::uint64_t> regs64;
+    std::vector<std::uint64_t*> mems64;
     std::array<std::uint64_t, kStWords> st{};
     /// Local time of the last assert_cycles marker (timing assertions).
     std::uint64_t cycle_marker = 0;
@@ -380,7 +382,6 @@ class Simulator {
   /// and checker evaluations branch to them) so both engines see one
   /// coherent memory. memories_ is the BitVector image used otherwise.
   std::vector<std::vector<std::uint64_t>> mem64_;
-  std::vector<std::uint64_t*> mem64_ptrs_;
   std::array<const void*, kCbCount> cb_table_{};
 
   /// Throttled deadline poll: reads the clock once per 256 calls.

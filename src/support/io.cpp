@@ -3,14 +3,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
 namespace hlsav {
 
 std::string temp_sibling_path(const std::string& path) {
-  return path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  static std::atomic<std::uint64_t> calls{0};
+  return path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+         std::to_string(calls.fetch_add(1, std::memory_order_relaxed));
 }
 
 bool write_all(int fd, std::string_view data,

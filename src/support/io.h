@@ -2,7 +2,7 @@
 //
 // Every artifact the toolchain emits (BENCH_*.json, VCDs, binary
 // traces, Chrome traces, the headers of append logs) goes through these
-// helpers: content is written to a pid-unique temp sibling, fsync'd, and
+// helpers: content is written to a call-unique temp sibling, fsync'd, and
 // renamed into place, so a killed run leaves either the old file or the
 // new one -- never a torn half-document. The records after an append
 // log's header go through support/append_log.h, which shares the
@@ -19,8 +19,10 @@
 
 namespace hlsav {
 
-/// "<path>.tmp.<pid>" -- unique per process, same directory (so the
-/// rename is atomic: same filesystem).
+/// "<path>.tmp.<pid>.<n>", with n from a process-wide counter -- unique
+/// per call, so neither two processes nor two threads of one process
+/// ever share a temp file; same directory (so the rename is atomic: same
+/// filesystem).
 [[nodiscard]] std::string temp_sibling_path(const std::string& path);
 
 /// Writes `content` to `path` atomically: temp sibling, fsync, rename.

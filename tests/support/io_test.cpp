@@ -28,6 +28,8 @@ TEST(Io, TempSiblingIsPidUniqueAndSameDirectory) {
   std::string t = temp_sibling_path("/some/dir/report.json");
   EXPECT_EQ(t.rfind("/some/dir/report.json.tmp.", 0), 0u) << t;
   EXPECT_NE(t.find(std::to_string(::getpid())), std::string::npos) << t;
+  // Unique per call too: two threads of one process never share it.
+  EXPECT_NE(t, temp_sibling_path("/some/dir/report.json"));
 }
 
 TEST(Io, WriteCreatesFileWithExactContent) {
@@ -35,8 +37,12 @@ TEST(Io, WriteCreatesFileWithExactContent) {
   Status s = write_file_atomic(path, "hello\nworld\n");
   ASSERT_TRUE(s.ok()) << s.to_string();
   EXPECT_EQ(slurp(path), "hello\nworld\n");
-  // No temp residue.
-  EXPECT_FALSE(fs::exists(temp_sibling_path(path)));
+  // No temp residue: every temp name is unique per call, so look for
+  // any sibling with the temp prefix.
+  const std::string prefix = fs::path(path).filename().string() + ".tmp.";
+  for (const auto& entry : fs::directory_iterator(fs::path(path).parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(prefix, 0), 0u) << entry.path();
+  }
 }
 
 TEST(Io, WriteReplacesExistingFileAtomically) {
