@@ -246,12 +246,13 @@ class ProcEmitter {
     return u64_lit(o.imm.to_u64());
   }
 
-  // ---- prologue shared by every block: halt, deadline, cycle limit.
-  // Mirrors the interpreter's step_process loop top (same order).
+  // ---- prologue shared by every block: halt, poll (deadline, control
+  // faults), cycle limit. Mirrors the interpreter's step_process loop
+  // top (same order).
   void emit_checks() {
     os_ << "  if (" << stw(sim::kStHalt) << " != 0u) return HLSAV_RET(" << sim::kRetHalted
         << "u);\n";
-    os_ << "  if ((" << stw(sim::kStFlags) << " & " << sim::kStFlagDeadline
+    os_ << "  if ((" << stw(sim::kStFlags) << " & " << sim::kStFlagPoll
         << "u) != 0u) {\n"
         << "    if (((hlsav_cb_poll_fn)cb[" << sim::kCbPoll << "])(sim) != 0u) return HLSAV_RET("
         << sim::kRetHalted << "u);\n"
@@ -550,7 +551,7 @@ class ProcEmitter {
         << "  " << stw(sim::kStProgress) << " = 1u;\n"
         << "  if (" << stw(sim::kStHalt) << " != 0u) return HLSAV_RET(" << sim::kRetHalted
         << "u);\n"
-        << "  if ((" << stw(sim::kStFlags) << " & " << sim::kStFlagDeadline << "u) != 0u) {\n"
+        << "  if ((" << stw(sim::kStFlags) << " & " << sim::kStFlagPoll << "u) != 0u) {\n"
         << "    if (((hlsav_cb_poll_fn)cb[" << sim::kCbPoll << "])(sim) != 0u) return HLSAV_RET("
         << sim::kRetHalted << "u);\n"
         << "  }\n"

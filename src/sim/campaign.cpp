@@ -230,6 +230,8 @@ FaultResult run_fault(const ir::Design& design, const sched::DesignSchedule& sch
   FaultResult res;
   res.site = fault;
   res.cycles = r.cycles;
+  res.ran_compiled = sim.engine_active();
+  res.engine_note = sim.engine_note();
   if (profile_out != nullptr) {
     *profile_out = prof->summary();
     res.profile = *profile_out;
@@ -439,6 +441,15 @@ StatusOr<CampaignReport> run_campaign_st(
   worker();
   for (std::thread& t : pool) t.join();
   if (!first_status.ok()) return first_status;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (restored[i] != 0 || done[i] == 0) continue;
+    const FaultResult& r = report.results[i];
+    if (r.ran_compiled) {
+      ++report.sites_compiled;
+    } else {
+      ++report.interpreted_by_note[r.engine_note];
+    }
+  }
   // A cancel that lands after the last site finished is
   // indistinguishable from a clean run and stays one.
   report.interrupted = cancelled() && std::find(done.begin(), done.end(), 0) != done.end();
@@ -469,6 +480,20 @@ std::size_t CampaignReport::count(FaultOutcome o) const {
     if (r.outcome == o) ++n;
   }
   return n;
+}
+
+std::string CampaignReport::engine_summary() const {
+  std::size_t interpreted = 0;
+  for (const auto& [note, n] : interpreted_by_note) interpreted += n;
+  std::ostringstream os;
+  os << "campaign engines: " << sites_compiled << " sites compiled, " << interpreted
+     << " interpreted";
+  const char* sep = ": ";
+  for (const auto& [note, n] : interpreted_by_note) {
+    os << sep << n << " x [" << (note.empty() ? "interpreter requested" : note) << "]";
+    sep = ", ";
+  }
+  return os.str();
 }
 
 double CampaignReport::detection_rate() const {

@@ -76,6 +76,12 @@ struct FaultResult {
   /// Cycle-attribution totals of the faulted run; only populated when
   /// CampaignOptions::profile is set (timelines stay off in campaigns).
   std::optional<metrics::ProfileSummary> profile;
+  /// How the run executed, not what it found: whether the compiled
+  /// engine ran it, and Simulator::engine_note() when it did not.
+  /// render() and the journal leave both out, so reports stay
+  /// byte-identical across engines.
+  bool ran_compiled = false;
+  std::string engine_note;
 };
 
 struct CampaignOptions {
@@ -157,8 +163,17 @@ struct CampaignReport {
   /// Attribution of the un-faulted reference run; set iff
   /// CampaignOptions::profile was on.
   std::optional<metrics::ProfileSummary> golden_profile;
+  /// Sites this sweep ran compiled, and the ones it interpreted by
+  /// engine_note() ("" when the interpreter was requested). Sites
+  /// restored from a journal ran earlier and count in neither. Like
+  /// FaultResult::ran_compiled, kept out of render() and the journal.
+  std::size_t sites_compiled = 0;
+  std::map<std::string, std::size_t> interpreted_by_note;
 
   [[nodiscard]] std::size_t count(FaultOutcome o) const;
+  /// One line of per-engine site counts ("campaign engines: 193 sites
+  /// compiled, 51 interpreted: 27 x [<note>], 24 x [<note>]").
+  [[nodiscard]] std::string engine_summary() const;
   /// Detected / (everything that was not benign).
   [[nodiscard]] double detection_rate() const;
   /// Full campaign table + summary + per-assertion coverage attribution.

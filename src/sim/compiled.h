@@ -5,11 +5,12 @@
 // straight-line native uint64_t arithmetic for every scheduled op,
 // direct gotos between blocks, and callbacks into the Simulator for the
 // ops that touch shared state (stream handshakes, extern calls,
-// assertion machinery) or wall-clock (deadline polls). All mutable
-// per-process state lives in buffers the Simulator owns and passes in,
-// so a compiled function is reentrant and never blocks: when a stream
-// op cannot complete it records its resume position in the state words
-// and returns kRetBlocked; the next call re-enters at exactly that op.
+// assertion machinery) or the block-entry poll (deadline, control
+// faults). All mutable per-process state lives in buffers the Simulator
+// owns and passes in, so a compiled function is reentrant and never
+// blocks: when a stream op cannot complete it records its resume
+// position in the state words and returns kRetBlocked; the next call
+// re-enters at exactly that op.
 //
 // Nothing process-specific is baked into the function text: the
 // process index a callback names is read from st[kStPidx], and memories
@@ -56,11 +57,16 @@ inline constexpr std::uint32_t kStResumeOp = 6;     // op index to resume at
 inline constexpr std::uint32_t kStProgress = 7;     // any op/retire progressed
 inline constexpr std::uint32_t kStHalt = 8;         // design halted (finish block, then return)
 inline constexpr std::uint32_t kStInPipe = 9;       // resume position is inside a pipelined loop
-inline constexpr std::uint32_t kStFlags = 10;       // bit 0: deadline armed
+inline constexpr std::uint32_t kStFlags = 10;       // bit 0: call the block-entry poll
 inline constexpr std::uint32_t kStPidx = 11;        // process index callbacks report
 inline constexpr std::uint32_t kStWords = 12;
 
-inline constexpr std::uint64_t kStFlagDeadline = 1;
+/// Set in the processes that need the kCbPoll callback at every block
+/// entry and pipelined-iteration end: all of them when a deadline is
+/// armed, and the one a skip-block or stuck-branch fault names, whose
+/// fault the simulator applies from that poll (generated code never
+/// sees a fault).
+inline constexpr std::uint64_t kStFlagPoll = 1;
 
 // ---- callback table (the `cb` argument) --------------------------------
 inline constexpr std::uint32_t kCbStreamRead = 0;
@@ -80,8 +86,10 @@ inline constexpr std::uint32_t kCbHalt = 2;     // op completed and halted the d
 /// in the generated prelude -- keep in sync with codegen::emit.
 using OpCallbackFn = std::uint32_t (*)(void* sim, std::uint32_t pidx, std::uint32_t block,
                                        std::uint32_t op, std::uint64_t at);
-/// Deadline poll callback (slot kCbPoll): returns nonzero when the
-/// wall-clock watchdog expired (the simulator has already halted).
+/// Poll callback (slot kCbPoll): returns nonzero when the function must
+/// return kRetHalted -- the wall-clock watchdog expired (the simulator
+/// has already halted), or a control fault moved the resume position in
+/// `st` and the simulator calls the function again.
 using PollCallbackFn = std::uint32_t (*)(void* sim);
 
 // ---- compiled process entry point --------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "metrics/profile.h"
 #include "trace/trace.h"
@@ -12,6 +13,60 @@ using ir::BasicBlock;
 using ir::Op;
 using ir::OpKind;
 using ir::Operand;
+
+namespace {
+
+bool is_control_fault(const FaultSpec& f) {
+  return f.kind == FaultKind::kFsmSkipBlock || f.kind == FaultKind::kFsmStuckBranch;
+}
+
+bool in_pipelined_loop(const ir::Process& p, ir::BlockId b) {
+  return std::any_of(p.loops.begin(), p.loops.end(), [b](const ir::LoopInfo& l) {
+    return l.pipelined && (l.header == b || l.body == b);
+  });
+}
+
+/// Why the compiled engine cannot apply `faults`, or empty when it can.
+/// Stream, extern and channel faults apply in the callbacks both engines
+/// share, and control faults from the compiled block-entry poll
+/// (Simulator::compiled_poll). What compiled code executes natively --
+/// compares, BRAM ports, a pipelined loop's iterations -- cannot be
+/// faulted without emitted code.
+std::string compiled_fault_decline(const ir::Design& design, const FaultEngine& faults) {
+  std::map<std::string_view, unsigned> control_faults_of;
+  for (const FaultSpec& f : faults.faults()) {
+    if (f.kind == FaultKind::kNarrowCompare || f.kind == FaultKind::kBramBitFlip ||
+        f.kind == FaultKind::kBramStuckAt) {
+      return std::string(fault_kind_name(f.kind)) + " fault armed";
+    }
+    if (!is_control_fault(f)) continue;
+    const ir::Process* p = design.find_process(f.process);
+    if (p != nullptr && in_pipelined_loop(*p, f.block)) {
+      return std::string(fault_kind_name(f.kind)) + " fault inside a pipelined loop";
+    }
+    if (++control_faults_of[f.process] > 1) {
+      return "more than one control fault in process '" + f.process + "'";
+    }
+  }
+  return {};
+}
+
+/// The control fault that changes `p`'s control flow, or null. A stuck
+/// branch on a block that does not end in a branch is inert in the
+/// interpreter, so it arms nothing here either.
+const FaultSpec* control_fault_of(const FaultEngine& faults, const ir::Process& p) {
+  for (const FaultSpec& f : faults.faults()) {
+    if (!is_control_fault(f) || f.process != p.name || f.block >= p.blocks.size()) continue;
+    if (f.kind == FaultKind::kFsmStuckBranch &&
+        p.block(f.block).term.kind != ir::TermKind::kBranch) {
+      continue;
+    }
+    return &f;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 Simulator::Simulator(const ir::Design& design, const sched::DesignSchedule& schedule,
                      const ExternRegistry& externs, SimOptions options)
@@ -159,9 +214,12 @@ void Simulator::init_engine() {
     engine_note_ = "profiler armed; compiled engine declines, interpreting";
     return;
   }
-  if (!opt_.faults.empty()) {
-    engine_note_ = "fault injection armed; compiled engine declines, interpreting";
-    return;
+  if (inject_faults_) {
+    std::string why = compiled_fault_decline(design_, opt_.faults);
+    if (!why.empty()) {
+      engine_note_ = why + "; compiled engine declines, interpreting";
+      return;
+    }
   }
   for (const ir::Memory& m : design_.memories) {
     if (m.width > 64) {
@@ -187,7 +245,8 @@ void Simulator::init_engine() {
     ps.st[kStMaxCycles] = opt_.max_cycles;
     ps.st[kStResumeBlock] = ps.proc->entry;
     ps.st[kStPidx] = i;
-    if (deadline_ != nullptr) ps.st[kStFlags] |= kStFlagDeadline;
+    if (inject_faults_) ps.ctl_fault = control_fault_of(opt_.faults, *ps.proc);
+    if (deadline_ != nullptr || ps.ctl_fault != nullptr) ps.st[kStFlags] |= kStFlagPoll;
     ++attached;
   }
   if (attached == 0) {
@@ -363,18 +422,11 @@ bool Simulator::try_stream_write(ProcState& ps, const Op& op, std::uint64_t at) 
     return false;
   }
   if (inject_faults_) {
-    // Handshake faults: the word is counted as sent by the process even
-    // when the FIFO drops it (that is the fault being modelled).
     BitVector v = value_of(ps, op.args[0]);
-    FaultEngine::StreamAction act =
-        opt_.faults.on_stream_write(op.stream, stream_write_seq_[op.stream]++, v);
+    push_faulted_write(op.stream, v, at);
     // The process-side handshake happens even for a dropped word; the
     // trace records the (possibly corrupted) value the FIFO saw.
     if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, v, at, op.loc);
-    if (act == FaultEngine::StreamAction::kDrop) return true;
-    st.fifo.push_back(FifoEntry{v, at + 1});
-    if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{std::move(v), at + 1});
-    mark_cpu_dirty(op.stream);
     return true;
   }
   // Data crosses the channel one cycle after the send issues.
@@ -382,6 +434,17 @@ bool Simulator::try_stream_write(ProcState& ps, const Op& op, std::uint64_t at) 
   if (ela_ != nullptr) ela_->stream_push(ps.proc, op.stream, st.fifo.back().value, at, op.loc);
   mark_cpu_dirty(op.stream);
   return true;
+}
+
+void Simulator::push_faulted_write(ir::StreamId id, BitVector& value, std::uint64_t at) {
+  // Handshake faults: the word is counted as sent by the process even
+  // when the FIFO drops it (that is the fault being modelled).
+  FaultEngine::StreamAction act = opt_.faults.on_stream_write(id, stream_write_seq_[id]++, value);
+  if (act == FaultEngine::StreamAction::kDrop) return;
+  StreamState& st = streams_[id];
+  st.fifo.push_back(FifoEntry{value, at + 1});
+  if (act == FaultEngine::StreamAction::kDup) st.fifo.push_back(FifoEntry{value, at + 1});
+  mark_cpu_dirty(id);
 }
 
 void Simulator::push_stream(ir::StreamId id, BitVector value, std::uint64_t at) {
@@ -836,16 +899,26 @@ bool Simulator::step_process(ProcState& ps) {
 bool Simulator::step_process_compiled(ProcState& ps) {
   ps.st[kStProgress] = 0;
   ps.st[kStHalt] = halt_ ? 1 : 0;
+  compiled_cur_ = &ps;
   std::uint64_t r = ps.cfn(ps.regs64.data(), ps.st.data(), ps.mems64.data(), this,
                            cb_table_.data());
+  while (compiled_reenter_) {
+    // A control fault moved the resume point (compiled_poll): call again
+    // in the same step, as the interpreter's block loop continues;
+    // returning to the round-robin would reorder the processes.
+    compiled_reenter_ = false;
+    r = ps.cfn(ps.regs64.data(), ps.st.data(), ps.mems64.data(), this, cb_table_.data());
+  }
   ps.cycle = ps.st[kStCycle];
   switch (ret_tag(r)) {
     case kRetDone:
       ps.done = true;
       break;
     case kRetBlocked:
+      ps.ctl_resuming = true;  // the next call's first poll is no block entry
+      break;                   // blocked fields were set by the callback
     case kRetHalted:
-      break;  // blocked fields were set by the callback / halt_ is up
+      break;  // halt_ is up, or a skipped block returned (ps.done is set)
     case kRetCycleLimit:
       ps.blocked = true;
       ps.blocked_at = {};
@@ -868,8 +941,66 @@ std::uint32_t Simulator::cb_exec_trampoline(void* sim, std::uint32_t pidx, std::
 }
 
 std::uint32_t Simulator::cb_poll_trampoline(void* sim) {
-  auto* s = static_cast<Simulator*>(sim);
-  return s->poll_deadline() ? 1u : 0u;
+  return static_cast<Simulator*>(sim)->compiled_poll() ? 1u : 0u;
+}
+
+bool Simulator::compiled_poll() {
+  if (deadline_ != nullptr && poll_deadline()) return true;
+  ProcState& ps = *compiled_cur_;
+  return ps.ctl_fault != nullptr && apply_control_fault(ps);
+}
+
+bool Simulator::apply_control_fault(ProcState& ps) {
+  auto& st = ps.st;
+  // Only a fresh block entry counts: its _f prologue just ran. A resume
+  // after kRetBlocked also polls at op 0 of its block, and a pipelined
+  // loop polls again at each iteration end (PipeIter > 0).
+  const bool resuming = std::exchange(ps.ctl_resuming, false);
+  if (resuming || st[kStResumeOp] != 0 || (st[kStInPipe] != 0 && st[kStPipeIter] != 0)) {
+    return false;
+  }
+  const auto entered = static_cast<ir::BlockId>(st[kStResumeBlock]);
+  const FaultSpec& f = *ps.ctl_fault;
+  const BasicBlock& fb = ps.proc->block(f.block);
+  ir::BlockId next = ir::kNoBlock;
+  if (f.kind == FaultKind::kFsmStuckBranch) {
+    // The faulted block's native branch already ran; a corrupted
+    // next-state register sends control to the forced successor instead.
+    if (std::exchange(ps.ctl_branch_pending, false)) {
+      ir::BlockId forced = f.branch_taken ? fb.term.on_true : fb.term.on_false;
+      if (entered != forced) next = forced;
+    }
+    if (next == ir::kNoBlock) {
+      ps.ctl_branch_pending = entered == f.block;
+      return false;
+    }
+  } else {
+    // Skip-block, in the interpreter's order: the cycle-limit guard runs
+    // first, then the block retires without its datapath ops and takes
+    // its terminator on the stale registers.
+    if (entered != f.block || st[kStCycle] > st[kStMaxCycles]) return false;
+    st[kStCycle] = st[kStBlockEntry] + ps.sched->of(f.block).num_states;
+    st[kStProgress] = 1;
+    switch (fb.term.kind) {
+      case ir::TermKind::kJump:
+        next = fb.term.on_true;
+        break;
+      case ir::TermKind::kBranch:
+        next = value64_any(ps, fb.term.cond) ? fb.term.on_true : fb.term.on_false;
+        break;
+      case ir::TermKind::kReturn:
+        ps.done = true;
+        return true;
+    }
+  }
+  // Enter `next` the way its _f prologue would; with InPipe clear, a
+  // pipelined header's dispatch runs that prologue itself.
+  st[kStResumeBlock] = next;
+  st[kStResumeOp] = 0;
+  st[kStBlockEntry] = st[kStCycle];
+  st[kStInPipe] = 0;
+  compiled_reenter_ = true;
+  return true;
 }
 
 BitVector Simulator::value64_of(const ProcState& ps, const Operand& o) const {
@@ -889,8 +1020,8 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
   const Op& op = b.ops[op_idx];
   // The generated code already evaluated the op's predicate and
   // timestamp; this executes the shared-state side exactly as exec_op
-  // would with trace/ELA/profiler/faults unarmed (the engine declines
-  // those configurations).
+  // would with trace/ELA/profiler unarmed (the engine declines those
+  // configurations), stream and extern faults included.
   switch (op.kind) {
     case OpKind::kStreamRead: {
       StreamState& st = streams_[op.stream];
@@ -922,6 +1053,11 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
         ps.blocked_stream = op.stream;
         return kCbBlocked;
       }
+      if (inject_faults_) {
+        BitVector v = value64_of(ps, op.args[0]);
+        push_faulted_write(op.stream, v, at);
+        break;
+      }
       st.fifo.push_back(FifoEntry{value64_of(ps, op.args[0]), at + 1});
       mark_cpu_dirty(op.stream);
       break;
@@ -931,8 +1067,9 @@ std::uint32_t Simulator::compiled_exec_op(std::uint32_t pidx, std::uint32_t bloc
       HLSAV_CHECK(fn != nullptr, "unbound extern function '" + op.callee + "'");
       extern_args_.clear();
       for (const Operand& a : op.args) extern_args_.push_back(value64_of(ps, a));
-      ps.regs64[op.dest] =
-          (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false).to_u64();
+      BitVector res = (*fn)(extern_args_).resize(ps.proc->reg(op.dest).width, false);
+      if (inject_faults_) opt_.faults.on_extern_result(op.callee, res);
+      ps.regs64[op.dest] = res.to_u64();
       break;
     }
     case OpKind::kAssert: {

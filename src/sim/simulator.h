@@ -114,9 +114,12 @@ struct SimOptions {
   /// Execution engine. kCompiled/kAuto use the functions in `compiled`
   /// for the processes they cover and interpret the rest; the simulator
   /// itself falls back to full interpretation (and says why in
-  /// engine_note()) when no handle is attached or when an armed
-  /// observability feature -- trace, ELA, profiler, fault injection --
-  /// needs the interpreter's per-op hooks. Cycle counts, RunResults and
+  /// engine_note()) when no handle is attached, when an armed
+  /// observability feature -- trace, ELA, profiler -- needs the
+  /// interpreter's per-op hooks, or when a fault targets what compiled
+  /// code executes natively (narrow-compare and BRAM faults, control
+  /// faults inside a pipelined loop, more than one control fault in a
+  /// process). Other faults run compiled. Cycle counts, RunResults and
   /// received words are bit-identical across engines; the differential
   /// suite (tests/codegen) enforces that.
   SimEngine engine = SimEngine::kInterpreter;
@@ -291,12 +294,21 @@ class Simulator {
     std::vector<std::uint64_t> regs64;
     std::vector<std::uint64_t*> mems64;
     std::array<std::uint64_t, kStWords> st{};
+    /// The skip-block or stuck-branch fault naming this compiled process
+    /// (null when none does); compiled_poll applies it at block entries.
+    const FaultSpec* ctl_fault = nullptr;
     /// Local time of the last assert_cycles marker (timing assertions).
     std::uint64_t cycle_marker = 0;
     /// Profiler slot (metrics::Profiler::index_of), 0 when unarmed.
     std::size_t prof_idx = 0;
     bool done = false;
     bool blocked = false;
+    /// Stuck-branch: the faulted block was entered, so the next block
+    /// entry is its successor and gets redirected.
+    bool ctl_branch_pending = false;
+    /// The last compiled call returned kRetBlocked: the next poll resumes
+    /// the blocked block and is not a block entry.
+    bool ctl_resuming = false;
     SourceLoc blocked_at;
     BlockReason block_reason = BlockReason::kNone;
     ir::StreamId blocked_stream = ir::kNoStream;  // for the kStream* reasons
@@ -383,6 +395,12 @@ class Simulator {
   /// coherent memory. memories_ is the BitVector image used otherwise.
   std::vector<std::vector<std::uint64_t>> mem64_;
   std::array<const void*, kCbCount> cb_table_{};
+  /// The process step_process_compiled is running (the poll callback
+  /// carries no process index).
+  ProcState* compiled_cur_ = nullptr;
+  /// Set by compiled_poll when a control fault moved the resume point:
+  /// step_process_compiled calls the function again in the same step.
+  bool compiled_reenter_ = false;
 
   /// Throttled deadline poll: reads the clock once per 256 calls.
   /// Sets deadline_hit_ + halt_ and returns true when expired.
@@ -419,6 +437,13 @@ class Simulator {
   static std::uint32_t cb_exec_trampoline(void* sim, std::uint32_t pidx, std::uint32_t block,
                                           std::uint32_t op, std::uint64_t at);
   static std::uint32_t cb_poll_trampoline(void* sim);
+  /// Block-entry poll of compiled_cur_ (slot kCbPoll): the deadline
+  /// first, then its control fault. True stops the function, which
+  /// returns kRetHalted.
+  bool compiled_poll();
+  /// Applies ps.ctl_fault at a fresh block entry (see compiled_poll);
+  /// true when it retired a block or redirected control.
+  bool apply_control_fault(ProcState& ps);
   /// Operand value for a compiled process (regs64 at declared width).
   [[nodiscard]] BitVector value64_of(const ProcState& ps, const ir::Operand& o) const;
   [[nodiscard]] bool value64_any(const ProcState& ps, const ir::Operand& o) const;
@@ -442,6 +467,10 @@ class Simulator {
   bool try_stream_read(ProcState& ps, const ir::Op& op, std::uint64_t at);
   bool try_stream_write(ProcState& ps, const ir::Op& op, std::uint64_t at);
   void push_stream(ir::StreamId id, BitVector value, std::uint64_t at);
+  /// A process-issued write with stream faults armed (both engines):
+  /// counts the write, applies the fault to `value` and queues what the
+  /// FIFO sees -- nothing for a dropped word, two for a duplicated one.
+  void push_faulted_write(ir::StreamId id, BitVector& value, std::uint64_t at);
   /// Flags a CPU-bound stream for the next drain_cpu_streams() pass.
   void mark_cpu_dirty(ir::StreamId id);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,11 +35,17 @@
 namespace hlsav::codegen {
 
 /// Per-test-process cache directory so the suite neither reuses nor
-/// pollutes the developer's real module cache.
+/// pollutes the developer's real module cache. Removed at process exit.
 inline const std::string& test_cache_dir() {
-  static const std::string dir =
-      ::testing::TempDir() + "hlsav-codegen-test-" + std::to_string(::getpid());
-  return dir;
+  struct Dir {
+    std::string path;
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir{::testing::TempDir() + "hlsav-codegen-test-" + std::to_string(::getpid())};
+  return dir.path;
 }
 
 /// A design prepared for both engines. `compiled` is null when prepare
@@ -62,16 +69,21 @@ struct DiffRig {
   }
 };
 
-/// compile -> synthesize(aopt) -> verify -> schedule -> AOT-compile.
-[[nodiscard]] inline DiffRig make_rig(const std::string& src, const assertions::Options& aopt) {
-  auto c = hlsav::testing::compile(src);
+/// synthesize(aopt) -> verify -> schedule -> AOT-compile a lowered design.
+[[nodiscard]] inline DiffRig rig_from(const ir::Design& lowered,
+                                      const assertions::Options& aopt) {
   DiffRig rig;
-  rig.design = c->design.clone();
+  rig.design = lowered.clone();
   assertions::synthesize(rig.design, aopt);
   ir::verify(rig.design);
   rig.schedule = sched::schedule_design(rig.design);
   rig.prepare_compiled();
   return rig;
+}
+
+/// compile -> synthesize(aopt) -> verify -> schedule -> AOT-compile.
+[[nodiscard]] inline DiffRig make_rig(const std::string& src, const assertions::Options& aopt) {
+  return rig_from(hlsav::testing::compile(src)->design, aopt);
 }
 
 /// Everything one engine run can observe from the outside.

@@ -217,6 +217,8 @@ TEST(Fallback, ProfilerArmedDeclines) {
   EXPECT_EQ(comp.result.status, sim::RunStatus::kCompleted);
 }
 
+// A stream fault applies in the compiled engine's stream callback: the
+// faulted run stays compiled and matches the interpreter.
 TEST(Fallback, FaultInjectionArmedDeclinesWithIdenticalResult) {
   HLSAV_REQUIRE_COMPILER();
   DiffRig rig = make_rig(kSrc, Options::unoptimized());
@@ -231,9 +233,57 @@ TEST(Fallback, FaultInjectionArmedDeclinesWithIdenticalResult) {
   };
   EngineRun interp = faulted(sim::SimEngine::kInterpreter);
   EngineRun comp = faulted(sim::SimEngine::kCompiled);
-  EXPECT_FALSE(comp.engine_active);
-  EXPECT_NE(comp.engine_note.find("fault"), std::string::npos) << comp.engine_note;
+  EXPECT_TRUE(comp.engine_active) << comp.engine_note;
+  EXPECT_EQ(comp.engine_note, "");
   expect_identical(interp, comp);
+}
+
+// Compiled code compares and reaches BRAM natively, so a fault there
+// declines, and the note names the fault kind.
+TEST(Fallback, NarrowCompareFaultDeclinesNamingTheKind) {
+  HLSAV_REQUIRE_COMPILER();
+  DiffRig rig = make_rig(kSrc, Options::unoptimized());
+  ASSERT_EQ(rig.prep_error, "");
+  std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
+  sim::SimOptions base;
+  base.faults.add_narrow_compare("f", 0, 3);
+  EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
+  EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
+  EXPECT_FALSE(comp.engine_active);
+  EXPECT_NE(comp.engine_note.find("narrow-compare"), std::string::npos) << comp.engine_note;
+  expect_identical(interp, comp);
+}
+
+TEST(Fallback, BramFaultDeclinesNamingTheKind) {
+  HLSAV_REQUIRE_COMPILER();
+  DiffRig rig = make_rig(R"(
+    void f(stream_in<32> in, stream_out<32> out) {
+      uint32 buf[4];
+      for (uint32 i = 0; i < 4; i++) {
+        buf[i] = stream_read(in);
+      }
+      for (uint32 j = 0; j < 4; j++) {
+        stream_write(out, buf[j]);
+      }
+    }
+  )",
+                         Options::unoptimized());
+  ASSERT_EQ(rig.prep_error, "");
+  ASSERT_FALSE(rig.design.memories.empty());
+  const ir::MemId mem = rig.design.memories.front().id;
+  std::map<std::string, std::vector<std::uint64_t>> feeds{{"f.in", {10, 20, 30, 40}}};
+  for (const sim::FaultSpec& fault :
+       {sim::FaultSpec::bram_bit_flip(mem, 0), sim::FaultSpec::bram_stuck_at(mem, 2, true)}) {
+    sim::SimOptions base;
+    base.faults.add(fault);
+    EngineRun interp = run_engine(rig, sim::SimEngine::kInterpreter, feeds, {"f.out"}, base);
+    EngineRun comp = run_engine(rig, sim::SimEngine::kCompiled, feeds, {"f.out"}, base);
+    EXPECT_FALSE(comp.engine_active);
+    EXPECT_NE(comp.engine_note.find(sim::fault_kind_name(fault.kind)), std::string::npos)
+        << comp.engine_note;
+    expect_identical(interp, comp);
+    EXPECT_NE(comp.outputs["f.out"], (std::vector<std::uint64_t>{10, 20, 30, 40}));
+  }
 }
 
 // ----------------------------------------------- CLI fallback contract --

@@ -649,9 +649,10 @@ int run(const Args& args) {
 
     if (args.campaign) {
       sim::CampaignOptions copt = args.campaign_opts;
-      // The compiled engine serves the campaign's golden runs; faulted
-      // sites arm fault injection, which the engine auto-declines, so
-      // they interpret as before.
+      // The compiled engine serves the golden run and every faulted site
+      // it can apply; sites whose fault it declines (narrow-compare,
+      // BRAM, ...) interpret with the same result. The per-engine counts
+      // go to stderr, so stdout stays identical across engines.
       arm_engine(copt.sim);
       // SIGINT/SIGTERM stop the sweep cooperatively: the in-flight site
       // finishes, its journal line is fsync'd, and we exit 6 with a
@@ -679,6 +680,9 @@ int run(const Args& args) {
         return 6;
       }
       std::cout << rep.render(design);
+      if (args.engine != sim::SimEngine::kInterpreter) {
+        std::cerr << "hlsavc: " << rep.engine_summary() << "\n";
+      }
       if (args.trace_nonbenign) {
         std::vector<sim::TraceArtifact> arts =
             sim::trace_nonbenign_sites(design, schedule, externs, args.feeds, rep, copt, topt);
